@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     CostMatrix,
@@ -119,6 +118,9 @@ def scale_condition_holds(costs: CostMatrix) -> bool:
     so a single least-squares pick would wrongly reject valid matrices.
     Entries are verified within relative tolerance 1e-8.
     """
+    # imported here: scipy.optimize costs a noticeable share of process start-up
+    from scipy.optimize import linprog
+
     c = costs.costs
     m = c.shape[0]
     if m <= 2:

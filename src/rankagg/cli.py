@@ -106,31 +106,35 @@ def _plot_path(args) -> Path:
 
 
 def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
-    """Invert mean sigmoid(tau * (x2 - rho)) = target by bisection (decreasing in rho)."""
+    """Invert mean sigmoid(tau * (x2 - rho)) = target by bisection (decreasing in rho).
+
+    Each step is a function of (lo, hi) alone, so once a step leaves the
+    bracket unchanged every later one would too; stopping there returns the
+    same value the full 200 steps would.
+    """
     lo, hi = -50.0, 50.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         value = float(expit(tau * (feats[:, 1] - mid)).mean())
-        if value > target:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if value > target else (lo, mid)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     return 0.5 * (lo + hi)
+
+
+_SWEEP_SCORERS = {"labelagg": label_agg_bayes_scorer_sum, "lossagg": loss_agg_bayes_scorer}
 
 
 def _sweep_point(task):
     tau, rho, pi2_target, n, seed = task
-    start = time.perf_counter()
     data = gen_sigmoid_pair(SigmoidSynthConfig(n=n, tau=tau, rho=rho, seed=seed))
-    scorers = {
-        "lossagg": loss_agg_bayes_scorer(data.eta),
-        "labelagg": label_agg_bayes_scorer_sum(data.eta),
-    }
     pi2_emp = float(data.labels.labels[:, 1].mean())
-    elapsed_ms = 0.0
     rows = []
-    for method in sorted(scorers):
-        report = auc_report(scorers[method].scores(), data.labels)
+    for method, build_scorer in _SWEEP_SCORERS.items():
+        # runtime_ms covers this method's scorer and AUC report only
+        start = time.perf_counter()
+        report = auc_report(build_scorer(data.eta).scores(), data.labels)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             [

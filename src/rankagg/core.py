@@ -40,10 +40,13 @@ __all__ = [
 _PROB_TOL = 1e-9
 
 
-def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
+def _frozen_array(values, dtype=float, ndim=None, nan_name=None) -> np.ndarray:
+    """Read-only copy; with nan_name set, NaN entries raise ValueError naming it."""
     arr = np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected {ndim}-dimensional array, got shape {arr.shape}")
+    if nan_name is not None and np.isnan(arr).any():
+        raise ValueError(f"{nan_name} must not be NaN")
     arr.setflags(write=False)
     return arr
 
@@ -101,7 +104,7 @@ class EtaTable:
     eta: np.ndarray
 
     def __post_init__(self):
-        eta = _frozen_array(self.eta, ndim=2)
+        eta = _frozen_array(self.eta, ndim=2, nan_name="class probabilities")
         if np.any(eta < 0) or np.any(eta > 1):
             raise ValueError("class probabilities must lie in [0, 1]")
         object.__setattr__(self, "eta", eta)
@@ -134,7 +137,7 @@ class JointLabelModel:
         else:
             if K is None:
                 raise ValueError("explicit tables need K")
-            tab = _frozen_array(table, ndim=2)
+            tab = _frozen_array(table, ndim=2, nan_name="joint label probabilities")
             if tab.shape[1] != 2**K:
                 raise ValueError("explicit table must have 2^K columns")
             if np.any(tab < 0):
@@ -204,7 +207,7 @@ class PriorVector:
     pi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", _frozen_array(self.pi, ndim=1))
+        object.__setattr__(self, "pi", _frozen_array(self.pi, ndim=1, nan_name="priors"))
 
     @classmethod
     def from_labels(cls, labels: SampledLabels) -> "PriorVector":
@@ -231,7 +234,7 @@ class CostMatrix:
     costs: np.ndarray
 
     def __post_init__(self):
-        c = _frozen_array(self.costs, ndim=2)
+        c = _frozen_array(self.costs, ndim=2, nan_name="costs")
         if c.shape[0] != c.shape[1] or c.shape[0] < 2:
             raise ValueError("costs must be a square matrix of size >= 2")
         if np.any(c < 0):
@@ -270,9 +273,7 @@ class TableScorer(Scorer):
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _frozen_array(self.values, ndim=1)
-        if np.any(np.isnan(vals)):
-            raise ValueError("scores must not be NaN")
+        vals = _frozen_array(self.values, ndim=1, nan_name="scores")
         object.__setattr__(self, "values", vals)
 
     def scores(self, instances: InstanceSet | None = None) -> np.ndarray:

@@ -6,7 +6,12 @@ Conventions, kept consistent per path:
   - population sums range over all ordered pairs including i = j with
     H(0) = 1/2, matching an expectation over two i.i.d. draws;
   - ties use exact floating-point equality, and +inf scores rank above
-    every finite score (ties among +inf entries count 1/2).
+    every finite score (ties among +inf entries count 1/2); NaN scores are
+    rejected with ValueError.
+
+Every AUC is a weighted pair sum sum_ij u_i v_j H(s_i - s_j) and goes
+through one sort-and-cumulative-sum kernel. The dense h_matrix and
+population_pair_weights stay for the exhaustive oracle, which needs W.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import (
     AggregateDistribution,
@@ -48,9 +52,6 @@ __all__ = [
     "population_objective_value",
 ]
 
-# above this many matrix cells, binary AUC switches to the rank statistic
-_MATRIX_CELL_LIMIT = 4_000_000
-
 
 def h_matrix(scores: np.ndarray) -> np.ndarray:
     """H(f_i - f_j) for all ordered pairs: 1 if greater, 1/2 on exact ties."""
@@ -65,49 +66,73 @@ def _scores_array(scores) -> np.ndarray:
     return np.asarray(scores, dtype=float)
 
 
+def _pair_sums(scores, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted pair counts for each weight column l of u and v (both n x L).
+
+    Returns (sums, pairs): sums[l] = sum_ij u[i, l] v[j, l] H(s_i - s_j)
+    over all ordered pairs, and pairs[l] = sum_i u[i, l] * sum_j v[j, l].
+    One sort groups exact ties; per group, U_g . (V strictly below + V_g / 2)
+    is the weighted Mann-Whitney count. Pairs i = j count 1/2, so callers
+    with i != j conventions pass weights that vanish on the diagonal.
+    """
+    s = _scores_array(scores)
+    if s.shape[0] != u.shape[0]:
+        raise ValueError(f"{s.shape[0]} scores for {u.shape[0]} instances")
+    if s.shape[0] == 0:
+        raise DegenerateLabel("no instances to rank")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
+    order = np.argsort(s)
+    ranked = s[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    # one row per column, so every reduction runs over contiguous memory
+    u_groups = np.add.reduceat(np.take(u.T, order, axis=1), starts, axis=1)
+    v_groups = np.add.reduceat(np.take(v.T, order, axis=1), starts, axis=1)
+    cumulative = np.cumsum(v_groups, axis=1)
+    below = np.concatenate((np.zeros_like(cumulative[:, :1]), cumulative[:, :-1]), axis=1)
+    sums = (u_groups * (below + 0.5 * v_groups)).sum(axis=1)
+    return sums, u_groups.sum(axis=1) * cumulative[:, -1]
+
+
+def _bipartite_aucs(scores, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Per-column AUCs for positive and negative weight columns (n x K)."""
+    sums, pairs = _pair_sums(scores, pos, neg)
+    bad = np.flatnonzero(pairs == 0.0)
+    if bad.size:
+        raise DegenerateLabel(f"label {bad[0]} needs positive and negative weight")
+    return sums / pairs
+
+
 def bipartite_auc_empirical(scores, labels) -> float:
     """Fraction of (positive, negative) pairs ranked correctly, ties half."""
-    s = _scores_array(scores)
-    y = np.asarray(labels)
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabel("need at least one positive and one negative")
-    if s.shape[0] ** 2 <= _MATRIX_CELL_LIMIT:
-        w = np.outer(y == 1, y == 0).astype(float)
-        return float((w * h_matrix(s)).sum() / w.sum())
-    # rank statistic path: average ranks give exactly the half-tie credit
-    ranks = rankdata(s)
-    pos_rank_sum = ranks[y == 1].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+    y = np.asarray(labels)[:, None]
+    return float(_bipartite_aucs(scores, (y == 1).astype(float), (y == 0).astype(float))[0])
 
 
 def bipartite_auc_population(scores, eta_column) -> float:
     """Pairwise-weight AUC under per-instance positive probabilities."""
-    s = _scores_array(scores)
-    eta = np.asarray(eta_column, dtype=float)
-    n = eta.shape[0]
-    pi = eta.mean()
-    if pi <= 0.0 or pi >= 1.0:
-        raise DegenerateLabel(f"prior {pi} is degenerate")
-    w = np.outer(eta, 1.0 - eta)
-    return float((w * h_matrix(s)).sum() / (pi * (1.0 - pi) * n * n))
+    eta = np.asarray(eta_column, dtype=float)[:, None]
+    return float(_bipartite_aucs(scores, eta, 1.0 - eta)[0])
 
 
-def _cost_pair_matrix(ordinal: np.ndarray, costs: CostMatrix) -> np.ndarray:
-    y = np.asarray(ordinal)
-    discordant = y[:, None] > y[None, :]
-    return np.where(discordant, costs.costs[y[:, None], y[None, :]], 0.0)
+def _multipartite(scores, probs: np.ndarray, costs: CostMatrix) -> float:
+    """Cost-weighted pair accuracy for per-level weights probs (n x levels)."""
+    levels = probs.shape[1]
+    if costs.size < levels:
+        raise ValueError("cost matrix smaller than the ordinal alphabet")
+    # lower[j, m] = sum over m' < m of c[m, m'] probs[j, m']
+    lower = probs @ np.tril(costs.costs[:levels, :levels], -1).T
+    sums, pairs = _pair_sums(scores, probs, lower)
+    total = pairs.sum()
+    if total == 0.0:
+        raise DegenerateLabel("no discordant pair carries positive cost")
+    return float(sums.sum() / total)
 
 
 def multipartite_auc(scores, ordinal_labels, costs: CostMatrix) -> float:
     """Cost-weighted pair accuracy over ordinal labels, normalized to [0, 1]."""
-    s = _scores_array(scores)
-    w = _cost_pair_matrix(ordinal_labels, costs)
-    total = w.sum()
-    if total == 0.0:
-        raise DegenerateLabel("no discordant pair carries positive cost")
-    return float((w * h_matrix(s)).sum() / total)
+    y = np.asarray(ordinal_labels)
+    return _multipartite(scores, (y[:, None] == np.arange(y.max() + 1)).astype(float), costs)
 
 
 def _population_cost_weights(dist: AggregateDistribution, costs: CostMatrix) -> np.ndarray:
@@ -124,23 +149,15 @@ def _population_cost_weights(dist: AggregateDistribution, costs: CostMatrix) -> 
 
 
 def multipartite_auc_population(scores, dist: AggregateDistribution, costs: CostMatrix) -> float:
-    s = _scores_array(scores)
-    w = _population_cost_weights(dist, costs)
-    total = w.sum()
-    if total == 0.0:
-        raise DegenerateLabel("aggregate label is degenerate under these costs")
-    return float((w * h_matrix(s)).sum() / total)
+    return _multipartite(scores, dist.probs, costs)
 
 
 def _per_label_auc(scores, model) -> np.ndarray:
     if isinstance(model, SampledLabels):
-        return np.array(
-            [bipartite_auc_empirical(scores, model.labels[:, k]) for k in range(model.K)]
-        )
+        lab = model.labels
+        return _bipartite_aucs(scores, (lab == 1).astype(float), (lab == 0).astype(float))
     if isinstance(model, EtaTable):
-        return np.array(
-            [bipartite_auc_population(scores, model.eta[:, k]) for k in range(model.K)]
-        )
+        return _bipartite_aucs(scores, model.eta, 1.0 - model.eta)
     if isinstance(model, JointLabelModel):
         return _per_label_auc(scores, model.marginal_eta())
     raise TypeError(f"unsupported label model {model!r}")
@@ -248,5 +265,15 @@ def population_pair_weights(model, objective) -> tuple[np.ndarray, float]:
 
 
 def population_objective_value(scores, model, objective) -> float:
-    w, z = population_pair_weights(model, objective)
-    return float((w * h_matrix(_scores_array(scores))).sum() / z)
+    """(W * H(s)).sum() / Z for population_pair_weights' W and Z, via the pair kernel."""
+    if isinstance(model, EtaTable):
+        model = JointLabelModel.from_eta(model)
+    if not isinstance(model, JointLabelModel):
+        raise TypeError("population weights need a probability model")
+    if isinstance(objective, PerLabel):
+        return bipartite_auc_population(scores, model.marginal_eta().eta[:, objective.k])
+    if isinstance(objective, LossAgg):
+        return loss_agg_auc(scores, model, objective.weights)
+    if isinstance(objective, LabelAgg):
+        return label_agg_auc(scores, model, objective.aggregator, objective.costs)
+    raise TypeError(f"unsupported objective {objective!r}")

@@ -10,6 +10,7 @@ loss-aggregation scorer (details above that test). Companion tests pin the
 exact fixture values and the moderate-skew window.
 """
 
+import functools
 import itertools
 import sys
 import time
@@ -215,6 +216,7 @@ def _solve_rho(feats, tau, target):
     return 0.5 * (lo + hi)
 
 
+@functools.cache  # criterion 4 and its companion read the same sweep
 def _skew_sweep_signed():
     """Rows (tau, pi2, lossagg AUC1 - AUC2, labelagg AUC1 - AUC2)."""
     n, seed = 100_000, 0

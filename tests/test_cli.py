@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rankagg
 from rankagg.cli import main
 from rankagg.dataio import write_dataset
 from rankagg.synthgen import gen_conflicting_pair
@@ -131,6 +137,12 @@ def test_train_rejects_bad_label_columns(dataset_csv, tmp_path):
     ) == 3
 
 
+def test_train_rejects_nan_features(tmp_path):
+    data = tmp_path / "nan.csv"
+    data.write_text("f0,f1,y0,y1\n0.5,nan,1,0\n0.1,0.2,0,1\n")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o.csv")]) == 3
+
+
 def test_train_with_resampling_and_perlabel_objective(dataset_csv, tmp_path):
     out = tmp_path / "r.csv"
     code = main(
@@ -204,3 +216,12 @@ def test_worker_pool_does_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setenv("RANKAGG_THREADS", "4")
     assert main(args + ["--out", str(tmp_path / "pooled.csv")]) == 0
     assert _stable_bytes(tmp_path / "serial.csv") == _stable_bytes(tmp_path / "pooled.csv")
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # a fresh interpreter, since this one may already hold both modules
+    src = str(Path(rankagg.__file__).resolve().parent.parent)
+    code = "import sys, rankagg.cli; print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -141,3 +141,21 @@ def test_table_scorer_rejects_nan_and_serves_values():
     assert scorer.scores()[1] == np.inf
     with pytest.raises(ValueError):
         TableScorer(np.array([np.nan]))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_probability_tables_priors_and_costs_reject_nan(n, K, seed, data):
+    rng = np.random.default_rng(seed)
+    builders = [
+        (rng.uniform(0.0, 1.0, (n, K)), EtaTable),
+        (rng.dirichlet(np.ones(2**K), n), lambda t: JointLabelModel.explicit(t, K)),
+        (rng.uniform(0.05, 0.95, K), PriorVector),
+        (rng.uniform(0.0, 2.0, (K + 1, K + 1)), CostMatrix),
+    ]
+    for values, build in builders:
+        build(values)  # the valid input constructs
+        bad = values.copy()
+        bad.flat[data.draw(st.integers(0, bad.size - 1))] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            build(bad)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rankagg import (
+    AggregateDistribution,
     CostMatrix,
     DegenerateLabel,
     EtaTable,
@@ -17,6 +18,7 @@ from rankagg import (
     label_agg_auc,
     loss_agg_auc,
     multipartite_auc,
+    multipartite_auc_population,
     pareto_dominates,
     pareto_front,
 )
@@ -82,13 +84,52 @@ def test_label_agg_auc_with_one_label_is_bipartite():
     assert got == bipartite_auc_empirical(scores, y)
 
 
-def test_empirical_and_rank_paths_agree(monkeypatch):
-    rng = np.random.default_rng(11)
-    scores = rng.standard_normal(200).round(1)
-    y = _binary_labels(rng, 200)
-    full = bipartite_auc_empirical(scores, y)
-    monkeypatch.setattr(metrics, "_MATRIX_CELL_LIMIT", 0)
-    assert bipartite_auc_empirical(scores, y) == pytest.approx(full, abs=1e-12)
+# few distinct values so ties (including among infinities) are common
+_tie_scores = st.lists(
+    st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 3.0, np.inf]) | st.floats(-5, 5), min_size=1, max_size=40
+)
+
+
+def _close(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_tie_scores, st.integers(0, 2**32 - 1))
+def test_pair_kernel_matches_dense_h_matrix(values, seed):
+    s = np.array(values)
+    n = s.shape[0]
+    rng = np.random.default_rng(seed)
+    h = h_matrix(s)
+    # bipartite: label indicators and eta columns, two columns at once
+    y = rng.integers(0, 2, (n, 2)).astype(float)
+    eta = rng.uniform(0.0, 1.0, (n, 2))
+    for pos, neg in ((y, 1.0 - y), (eta, 1.0 - eta)):
+        sums, pairs = metrics._pair_sums(s, pos, neg)
+        for k in range(2):
+            _close(sums[k], (np.outer(pos[:, k], neg[:, k]) * h).sum())
+            _close(pairs[k], np.outer(pos[:, k], neg[:, k]).sum())
+    # multipartite: per-level probabilities combined through the cost matrix
+    probs = rng.dirichlet(np.ones(4), n)
+    costs = CostMatrix(rng.uniform(0.0, 2.0, (4, 4)))
+    dist = AggregateDistribution(np.arange(4.0), probs)
+    w = metrics._population_cost_weights(dist, costs)
+    if w.sum() > 0.0:
+        _close(multipartite_auc_population(s, dist, costs), (w * h).sum() / w.sum())
+    if n >= 2:
+        y[:2, 0] = (1.0, 0.0)
+        w = np.outer(y[:, 0] == 1, y[:, 0] == 0)
+        _close(bipartite_auc_empirical(s, y[:, 0]), (w * h).sum() / w.sum())
+        eta[:2, 0] = (1.0, 0.0)
+        w = np.outer(eta[:, 0], 1.0 - eta[:, 0])
+        _close(bipartite_auc_population(s, eta[:, 0]), (w * h).sum() / w.sum())
+
+
+def test_nan_scores_are_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        bipartite_auc_empirical(np.array([np.nan, 1.0, 0.0]), np.array([1, 0, 0]))
+    with pytest.raises(ValueError, match="NaN"):
+        multipartite_auc(np.array([0.0, np.nan]), np.array([1, 0]), CostMatrix.uniform(2))
 
 
 def test_population_matches_empirical_within_monte_carlo_error():
@@ -110,6 +151,8 @@ def test_population_matches_empirical_within_monte_carlo_error():
 
 
 def test_degenerate_labels_raise():
+    with pytest.raises(DegenerateLabel):
+        bipartite_auc_empirical(np.array([]), np.array([]))
     with pytest.raises(DegenerateLabel):
         bipartite_auc_empirical(np.array([1.0, 2.0]), np.array([1, 1]))
     with pytest.raises(DegenerateLabel):
