@@ -20,7 +20,6 @@ from .core import (
     LabelAgg,
     TableScorer,
     WeightedSum,
-    aggregate_distribution,
 )
 from .errors import DegenerateVariance
 from .oracle import certify_bayes
@@ -67,16 +66,15 @@ def gap_bound(eta: EtaTable, weights) -> BoundReport:
 def _aggregate_objective(eta: EtaTable, weights) -> tuple[JointLabelModel, LabelAgg]:
     model = JointLabelModel.from_eta(eta)
     agg = WeightedSum(tuple(float(a) for a in np.asarray(weights, dtype=float)))
-    levels = aggregate_distribution(model, agg).values.shape[0]
-    return model, LabelAgg(agg, CostMatrix.uniform(levels))
+    return model, LabelAgg(agg, CostMatrix.uniform(agg.values().shape[0]))
 
 
 def measure_gap(eta: EtaTable, weights) -> float:
     """Exact optimality gap of the weighted-probability scorer.
 
     Objective: uniform-cost multipartite AUC of the weighted-sum aggregate,
-    labels conditionally independent; the maximizer comes from exhaustive
-    weak-order search, so n <= 8 applies.
+    labels conditionally independent; the maximizer comes from the exact
+    weak-order search, so n <= oracle.MAX_EXHAUSTIVE_N (12) applies.
     """
     _moment_sums(eta, weights)  # same premise check as the bound
     model, objective = _aggregate_objective(eta, weights)

@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import BudgetExceeded, DegenerateLabel, RankAggError, TooLarge
 from .metrics import auc_report
-from .oracle import DEFAULT_BUDGET, auc_scatter, index_equal, index_subset, maximizer_sets
+from .oracle import DEFAULT_BUDGET, MAX_EXHAUSTIVE_N, auc_scatter, index_equal, index_subset, maximizer_sets
 from .bound import evaluate_bound
 from .surrogate import Hinge, Logistic, TrainConfig, train
 from .synthgen import (
@@ -91,6 +91,9 @@ def _load_config(path) -> dict[str, str]:
 def _merge(args: argparse.Namespace, spec: dict) -> argparse.Namespace:
     """Fill None flags from the config file, then from builtin defaults."""
     config = _load_config(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(config) - {name for key in spec for name in (key, key.replace("_", "-"))})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys {', '.join(unknown)}")
     for key, (parse, default) in spec.items():
         if getattr(args, key) is None:
             raw = config.get(key.replace("_", "-"), config.get(key))
@@ -435,8 +438,8 @@ def cmd_bound(args) -> int:
             "seed": (int, 0),
         },
     )
-    if args.n > 8:
-        raise TooLarge(f"{args.n} instances exceed the exhaustive limit 8")
+    if args.n > MAX_EXHAUSTIVE_N:
+        raise TooLarge(f"{args.n} instances exceed the exhaustive limit {MAX_EXHAUSTIVE_N}")
 
     def run_k(K: int) -> list:
         start = time.perf_counter()
@@ -518,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="optimality-gap bound vs K")
     common(p)
     p.add_argument("--K", type=_int_list, help="comma list of label counts")
-    p.add_argument("--n", type=int, help="instance count (<= 8)")
+    p.add_argument("--n", type=int, help=f"instance count (<= {MAX_EXHAUSTIVE_N})")
     p.add_argument("--c", type=float, help="probabilities drawn uniform in [c, 1-c]")
     p.set_defaults(fn=cmd_bound)
 

@@ -7,11 +7,11 @@ writeable flag cleared) and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateLabel
+from .errors import DegenerateLabel, TooLarge
 
 __all__ = [
     "InstanceSet",
@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
+# Largest table built on request (n x 2^K joint laws, 2^K x K combos, n x
+# levels aggregate laws): 2^24 cells, 128 MiB of float64.
+_MAX_TABLE_CELLS = 1 << 24
+
+
+def _require_cells(cells: int, what: str) -> None:
+    if cells > _MAX_TABLE_CELLS:
+        raise TooLarge(f"{what} needs {cells} cells, over the cap of {_MAX_TABLE_CELLS}")
 
 
 def _frozen_array(values, dtype=float, ndim=None, nan_name=None) -> np.ndarray:
@@ -172,12 +180,14 @@ class JointLabelModel:
     def combos(self) -> np.ndarray:
         """2^K x K matrix of label combos in explicit-column order."""
         K = self._K
+        _require_cells(2**K * K, f"the {K}-label combo matrix")
         idx = np.arange(2**K)
         return (idx[:, None] >> (K - 1 - np.arange(K))) & 1
 
     def explicit_table(self) -> np.ndarray:
         if self._table is not None:
             return self._table
+        _require_cells(self._n * 2**self._K, f"the {self._K}-label joint table")
         eta = self._eta.eta
         combos = self.combos()
         # product over labels of eta or 1-eta per combo column
@@ -344,9 +354,41 @@ class WeightedSum:
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
-        if not alphas or any(a <= 0 for a in alphas):
-            raise ValueError("weights must be strictly positive")
+        if not alphas or not all(0 < a < np.inf for a in alphas):
+            raise ValueError("weights must be strictly positive and finite")
         object.__setattr__(self, "alphas", alphas)
+
+    def values(self) -> np.ndarray:
+        """Distinct weighted sums over {0,1}^K in increasing order.
+
+        Sums equal after rounding to 12 decimals count as one.
+        """
+        for values, _ in _lattice_steps(self.alphas):
+            pass
+        return values
+
+
+def _lattice_steps(alphas, rows: int = 1):
+    """Partial sums of the weighted labels, adding one label at a time.
+
+    Yields per label the distinct sums so far and, for each candidate (every
+    earlier sum with the label off, then with it on), its index among them.
+    Sums are compared rounded to 12 decimals, so float addition order cannot
+    split one value in two; each keeps its first unrounded sum. Raises
+    TooLarge first if rows x sums could pass the cell cap: integer weights
+    reach at most sum(a) + 1 sums, others up to 2^K.
+    """
+    a = np.asarray(alphas)
+    levels = 2**a.size
+    if np.all(a == np.round(a)):
+        levels = min(levels, int(a.sum()) + 1)
+    _require_cells(rows * levels, f"the {a.size}-label weighted sum over {rows} rows")
+    sums = np.zeros(1)
+    for alpha in alphas:
+        candidates = np.concatenate([sums, sums + alpha])
+        _, first, inverse = np.unique(np.round(candidates, 12), return_index=True, return_inverse=True)
+        sums = candidates[first]
+        yield sums, inverse
 
 
 Aggregator = Union[Sum, Product, WeightedSum]
@@ -419,49 +461,32 @@ def aggregate_labels(labels: SampledLabels, aggregator: Aggregator) -> np.ndarra
     raise TypeError(f"unknown aggregator {aggregator!r}")
 
 
-def _sum_distribution(eta: np.ndarray) -> np.ndarray:
-    """Law of the number of positive labels under independence, by convolution."""
-    n, K = eta.shape
-    probs = np.zeros((n, K + 1))
-    probs[:, 0] = 1.0
-    for k in range(K):
-        p = eta[:, k][:, None]
-        nxt = probs * (1.0 - p)
-        nxt[:, 1:] += probs[:, :-1] * p
-        probs = nxt
-    return probs
-
-
-def _weighted_values(alphas: Sequence[float], K: int) -> tuple[np.ndarray, np.ndarray]:
-    """All achievable weighted sums over {0,1}^K and the combo-to-value map."""
-    combos = (np.arange(2**K)[:, None] >> (K - 1 - np.arange(K))) & 1
-    raw = combos @ np.asarray(alphas, dtype=float)
-    # round before dedup so float addition order cannot split one value in two
-    keyed = np.round(raw, 12)
-    values, inverse = np.unique(keyed, return_inverse=True)
-    return values, inverse
-
-
 def aggregate_distribution(model: JointLabelModel, aggregator: Aggregator = Sum()) -> AggregateDistribution:
-    """Per-instance distribution of the aggregated label."""
-    if isinstance(aggregator, Sum):
-        if model.independent:
-            probs = _sum_distribution(model.marginal_eta().eta)
-        else:
-            tab = model.explicit_table()
-            sums = model.combos().sum(axis=1)
-            probs = np.zeros((model.n, model.K + 1))
-            np.add.at(probs.T, sums, tab.T)
-        return AggregateDistribution(np.arange(model.K + 1, dtype=float), probs)
+    """Per-instance distribution of the aggregated label.
+
+    Sum is the weighted sum with unit weights. Under conditional
+    independence a weighted sum is convolved one label at a time over its
+    value alphabet, costing K x levels per instance; explicit tables sum
+    their 2^K columns.
+    """
     if isinstance(aggregator, Product):
         ones = model.all_ones_prob()
         return AggregateDistribution(np.array([0.0, 1.0]), np.column_stack([1.0 - ones, ones]))
+    if isinstance(aggregator, Sum):
+        aggregator = WeightedSum((1.0,) * model.K)
     if isinstance(aggregator, WeightedSum):
         if len(aggregator.alphas) != model.K:
             raise ValueError("weight count must match K")
-        values, inverse = _weighted_values(aggregator.alphas, model.K)
-        tab = model.explicit_table()
-        probs = np.zeros((model.n, values.shape[0]))
-        np.add.at(probs.T, inverse, tab.T)
+        if not model.independent:
+            raw = model.combos() @ np.asarray(aggregator.alphas)
+            values, inverse = np.unique(np.round(raw, 12), return_inverse=True)
+            probs = np.zeros((model.n, values.shape[0]))
+            np.add.at(probs.T, inverse, model.explicit_table().T)
+            return AggregateDistribution(values, probs)
+        eta, probs = model.marginal_eta().eta, np.ones((model.n, 1))
+        for (values, inverse), p in zip(_lattice_steps(aggregator.alphas, model.n), eta.T):
+            candidates = np.concatenate([probs * (1.0 - p[:, None]), probs * p[:, None]], axis=1)
+            probs = np.zeros((model.n, values.shape[0]))
+            np.add.at(probs.T, inverse, candidates.T)
         return AggregateDistribution(values, probs)
     raise TypeError(f"unknown aggregator {aggregator!r}")

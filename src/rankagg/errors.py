@@ -37,7 +37,7 @@ class BudgetExceeded(RankAggError):
 
 
 class TooLarge(RankAggError):
-    """Instance count exceeds the exhaustive-search limit."""
+    """Instance count or table size exceeds a fixed exhaustive-search or memory limit."""
 
 
 class DegenerateVariance(RankAggError):

@@ -1,17 +1,17 @@
 """Brute-force certification machinery.
 
 Two exhaustive searches live here:
-  - weak-order enumeration over n <= 8 instances, the exact maximizer of
-    any population pairwise objective (a scorer on n points is a weak
-    order, so this search is complete);
+  - the best weak order over n <= 12 instances, the exact maximizer of any
+    population pairwise objective (a scorer on n points is a weak order, so
+    this search is complete), by dynamic programming over subsets;
   - the bi-level hypothesis grid for deterministic two-label data, used
     to compare the maximizer sets of the competing objectives.
 
-Canonical weak-order enumeration order: items are inserted one at a time
-(item 0 first); each new item either joins an existing block or opens a
-new block in any gap, gaps scanned left to right with "new block" tried
-before "join" at each position, depth-first. Argmax ties are broken
-first-found in this order.
+Weak-order search in the style of Held and Karp (1962): f(T), the best
+objective over items T, is the maximum over nonempty top blocks B of T of
+f(T - B) + W(B -> T - B) + W(B, B) / 2, which costs O(3^n). Argmax ties
+(equal floats) go to the top block with the smallest bitmask, item i being
+bit i; the winning order is rebuilt from these choices, top block first.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .metrics import h_matrix, population_pair_weights
 __all__ = [
     "MAX_EXHAUSTIVE_N",
     "DEFAULT_BUDGET",
-    "weak_order_ranks",
     "optimal_weak_order",
     "optimal_weak_order_for",
     "CertifyResult",
@@ -46,61 +45,8 @@ __all__ = [
     "auc_scatter",
 ]
 
-MAX_EXHAUSTIVE_N = 8  # 545,835 weak orders
+MAX_EXHAUSTIVE_N = 12  # 3^12 = 531,441 (subset, top block) pairs
 DEFAULT_BUDGET = 10**7
-
-_RANK_CACHE: dict[int, np.ndarray] = {}
-
-
-def weak_order_ranks(n: int) -> np.ndarray:
-    """All weak orders of n items as rank vectors (ordered set partitions)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > MAX_EXHAUSTIVE_N:
-        raise TooLarge(f"{n} instances exceed the exhaustive limit {MAX_EXHAUSTIVE_N}")
-    cached = _RANK_CACHE.get(n)
-    if cached is not None:
-        return cached
-    results: list[list[int]] = []
-    blocks: list[list[int]] = [[0]]
-
-    def rec(item: int) -> None:
-        if item == n:
-            ranks = [0] * n
-            for r, blk in enumerate(blocks):
-                for member in blk:
-                    ranks[member] = r
-            results.append(ranks)
-            return
-        for pos in range(len(blocks) + 1):
-            blocks.insert(pos, [item])
-            rec(item + 1)
-            blocks.pop(pos)
-            if pos < len(blocks):
-                blocks[pos].append(item)
-                rec(item + 1)
-                blocks[pos].pop()
-
-    rec(1)
-    ranks = np.array(results, dtype=np.int8)
-    ranks.setflags(write=False)
-    _RANK_CACHE[n] = ranks
-    return ranks
-
-
-def _all_order_values(weights: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Objective sum over pairs for every rank vector at once."""
-    n = weights.shape[0]
-    values = np.full(ranks.shape[0], 0.5 * np.trace(weights))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            wij = weights[i, j]
-            if wij != 0.0:
-                ri, rj = ranks[:, i], ranks[:, j]
-                values += wij * ((ri > rj) + 0.5 * (ri == rj))
-    return values
 
 
 def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[TableScorer, float]:
@@ -108,9 +54,38 @@ def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[Ta
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("need a square weight matrix")
-    ranks = weak_order_ranks(w.shape[0])
-    best = int(np.argmax(_all_order_values(w, ranks)))
-    scores = ranks[best].astype(float)
+    n = w.shape[0]
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > MAX_EXHAUSTIVE_N:
+        raise TooLarge(f"{n} instances exceed the exhaustive limit {MAX_EXHAUSTIVE_N}")
+    masks = np.arange(1 << n)
+    members = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
+    out_weight = members @ w  # row m: sum over i in m of W[i, :]
+    inner = (out_weight * members).sum(axis=1)  # W(m, m)
+    size = members.sum(axis=1)
+    best = np.zeros(1 << n)
+    top = np.zeros(1 << n, dtype=np.int64)
+    for k in range(1, n + 1):
+        subsets = masks[size == k]
+        positions = np.nonzero(members[subsets])[1].reshape(-1, k)
+        choice = (np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1
+        # blocks[t, c]: the c-th nonempty submask of subsets[t], ascending
+        blocks = (choice @ (1 << positions).T).T
+        rest = subsets[:, None] ^ blocks
+        # f(T - B) + W(B -> T - B) + W(B, B) / 2 for every top block B of T
+        values = best[rest] + (out_weight[blocks] * members[rest]).sum(axis=2) + 0.5 * inner[blocks]
+        pick = values.argmax(axis=1)
+        rows = np.arange(subsets.size)
+        best[subsets] = values[rows, pick]
+        top[subsets] = blocks[rows, pick]
+    order, remaining = [], masks[-1]
+    while remaining:
+        order.append(top[remaining])
+        remaining ^= top[remaining]
+    scores = np.zeros(n)
+    for level, block in enumerate(reversed(order)):
+        scores[members[block]] = level
     # re-evaluate through the shared matrix path so values are comparable
     # bit-for-bit with any other scorer evaluated the same way
     value = float((w * h_matrix(scores)).sum() / normalizer)
@@ -120,8 +95,6 @@ def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[Ta
 def optimal_weak_order_for(model, objective) -> tuple[TableScorer, float]:
     """Exact maximizer of a population objective on a finite instance set."""
     w, z = population_pair_weights(model, objective)
-    if w.shape[0] > MAX_EXHAUSTIVE_N:
-        raise TooLarge(f"{w.shape[0]} instances exceed the exhaustive limit")
     return optimal_weak_order(w, z)
 
 
@@ -137,8 +110,6 @@ class CertifyResult:
 def certify_bayes(scorer, model, objective, tol: float = 1e-12) -> CertifyResult:
     """Compare a scorer against the exhaustive weak-order maximizer."""
     w, z = population_pair_weights(model, objective)
-    if w.shape[0] > MAX_EXHAUSTIVE_N:
-        raise TooLarge(f"{w.shape[0]} instances exceed the exhaustive limit")
     best_scorer, best_value = optimal_weak_order(w, z)
     s = scorer.scores() if isinstance(scorer, Scorer) else np.asarray(scorer, dtype=float)
     scorer_value = float((w * h_matrix(s)).sum() / z)

@@ -9,6 +9,7 @@ import pytest
 import rankagg
 from rankagg.cli import main
 from rankagg.dataio import write_dataset
+from rankagg.oracle import MAX_EXHAUSTIVE_N
 from rankagg.synthgen import gen_conflicting_pair
 
 
@@ -88,6 +89,15 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path):
         ]
     ) == 0
     assert len(out2.read_text().splitlines()) == 5
+
+
+def test_unknown_config_key_exits_3(tmp_path, capsys):
+    config = tmp_path / "typo.cfg"
+    config.write_text("n=200\ntua=5\n")
+    out = tmp_path / "o.csv"
+    assert main(["skew-sweep", "--out", str(out), "--config", str(config), "--no-plot"]) == 3
+    assert "tua" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_config_exits_3(tmp_path):
@@ -203,8 +213,16 @@ def test_bound_sweep_writes_gap_and_bound_columns(tmp_path):
 
 def test_bound_rejects_oversized_instance_counts(tmp_path):
     assert main(
-        ["bound", "--out", str(tmp_path / "o.csv"), "--n", "9"]
+        ["bound", "--out", str(tmp_path / "o.csv"), "--n", str(MAX_EXHAUSTIVE_N + 1)]
     ) == 4
+
+
+def test_bound_reaches_hundreds_of_labels(tmp_path):
+    out = tmp_path / "bound.csv"
+    assert main(["bound", "--out", str(out), "--n", "5", "--K", "2,4,8,16,32,64,128,256", "--no-plot"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(row[1]) for row in rows] == [2, 4, 8, 16, 32, 64, 128, 256]
+    assert all(0.0 <= float(row[2]) <= float(row[3]) + 1e-12 for row in rows)
 
 
 def test_worker_pool_does_not_change_results(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from rankagg import (
     Sum,
     Product,
     TableScorer,
+    TooLarge,
     WeightedSum,
     aggregate_distribution,
     aggregate_labels,
@@ -115,6 +118,67 @@ def test_weighted_sum_distribution_covers_achievable_values():
     dist = aggregate_distribution(JointLabelModel.from_eta(eta), WeightedSum((2.0, 1.0)))
     assert dist.values.tolist() == [0.0, 1.0, 2.0, 3.0]
     np.testing.assert_allclose(dist.probs[0], 0.25)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_weighted_sum_rejects_nonpositive_and_nonfinite_weights(bad):
+    with pytest.raises(ValueError):
+        WeightedSum((1.0, bad))
+
+
+def _add_at_distribution(eta: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the 2^K joint table summed onto its rounded weighted sums."""
+    K = eta.shape[1]
+    combos = (np.arange(2**K)[:, None] >> (K - 1 - np.arange(K))) & 1
+    table = np.where(combos[None] == 1, eta[:, None, :], 1.0 - eta[:, None, :]).prod(axis=2)
+    values, inverse = np.unique(np.round(combos @ np.asarray(alphas), 12), return_inverse=True)
+    probs = np.zeros((eta.shape[0], values.size))
+    np.add.at(probs.T, inverse, table.T)
+    return values, probs
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 10), st.sampled_from(["unit", "integer", "decimal", "real"]), st.integers(0, 2**32 - 1))
+def test_lattice_convolution_matches_the_2k_table(K, kind, seed):
+    rng = np.random.default_rng(seed)
+    eta = rng.uniform(0.0, 1.0, (4, K))
+    eta[0, 0], eta[1, K - 1] = 0.0, 1.0
+    alphas = {
+        "unit": np.ones(K),
+        "integer": rng.integers(1, 5, K).astype(float),
+        # decimals whose float sums collide only after rounding
+        "decimal": rng.choice([0.1, 0.2, 0.3, 0.7], K),
+        "real": rng.uniform(0.1, 3.0, K),
+    }[kind]
+    values, probs = _add_at_distribution(eta, alphas)
+    independent = JointLabelModel.from_eta(EtaTable(eta))
+    models = [independent, JointLabelModel.explicit(independent.explicit_table(), K)]
+    aggregators = [WeightedSum(tuple(alphas))] + ([Sum()] if kind == "unit" else [])
+    for model in models:
+        for agg in aggregators:
+            dist = aggregate_distribution(model, agg)
+            np.testing.assert_allclose(dist.values, values, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(dist.probs, probs, rtol=0.0, atol=1e-12)
+
+
+def test_2k_tables_over_the_cell_cap_raise_too_large():
+    model = JointLabelModel.from_eta(EtaTable(np.full((3, 40), 0.5)))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        model.combos()
+    with pytest.raises(TooLarge):
+        model.explicit_table()
+    with pytest.raises(TooLarge):  # weights off an integer lattice
+        aggregate_distribution(model, WeightedSum(tuple(1.0 + np.arange(40) / 41.0)))
+    # 65,536 distinct sums fit alone but not for 300 instances
+    binary = WeightedSum(tuple(2.0 ** np.arange(16)))
+    assert binary.values().size == 2**16
+    with pytest.raises(TooLarge):
+        aggregate_distribution(JointLabelModel.from_eta(EtaTable(np.full((300, 16), 0.5))), binary)
+    assert time.perf_counter() - start < 1.0
+    # lattice weights stay polynomial at K = 40
+    assert aggregate_distribution(model, Sum()).values.tolist() == list(range(41))
+    assert aggregate_distribution(model, WeightedSum(tuple(range(1, 41)))).values.size == 821
 
 
 def test_cost_matrix_constructors_and_validation():

@@ -1,5 +1,11 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rankagg import (
     BudgetExceeded,
@@ -20,6 +26,7 @@ from rankagg import (
 )
 from rankagg.metrics import h_matrix, pareto_front, population_pair_weights
 from rankagg.oracle import (
+    MAX_EXHAUSTIVE_N,
     auc_scatter,
     build_hypothesis_space,
     enumerate_hypotheses,
@@ -27,24 +34,53 @@ from rankagg.oracle import (
     index_equal,
     index_subset,
     scan_hypotheses,
-    weak_order_ranks,
 )
 
-FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683, 7: 47293, 8: 545835}
+FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
+
+
+@functools.cache
+def _weak_orders(n: int) -> np.ndarray:
+    """Every weak order of n items as a dense rank vector, by brute force."""
+    ranks = np.array(list(itertools.product(range(n), repeat=n)))
+    dense = [set(row) == set(range(max(row) + 1)) for row in ranks.tolist()]
+    return ranks[dense]
+
+
+def _order_values(w: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """sum_ij W_ij H(r_i - r_j) for each rank vector (row of ranks)."""
+    above = ranks[:, :, None] > ranks[:, None, :]
+    tied = ranks[:, :, None] == ranks[:, None, :]
+    return ((above + 0.5 * tied) * w).sum(axis=(1, 2))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_weak_order_counts_match_fubini_numbers(n):
-    ranks = weak_order_ranks(n)
+    ranks = _weak_orders(n)
     assert ranks.shape == (FUBINI[n], n)
-    # rank vectors are dense (every level below the top is occupied) and unique
-    assert all(set(row) == set(range(max(row) + 1)) for row in ranks.tolist())
     assert len({tuple(r) for r in ranks.tolist()}) == FUBINI[n]
 
 
 def test_weak_order_limit():
+    optimal_weak_order(np.ones((MAX_EXHAUSTIVE_N, MAX_EXHAUSTIVE_N)))
     with pytest.raises(TooLarge):
-        weak_order_ranks(9)
+        optimal_weak_order(np.ones((MAX_EXHAUSTIVE_N + 1, MAX_EXHAUSTIVE_N + 1)))
+
+
+weight_entries = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 6), st.sampled_from([1.0, 3.0]), st.data())
+def test_subset_dp_matches_brute_force_enumeration(n, normalizer, data):
+    # repeated entries make ties; zero rows leave items free to sit anywhere
+    w = data.draw(arrays(np.float64, (n, n), elements=weight_entries))
+    w[data.draw(arrays(bool, n))] = 0.0
+    scorer, value = optimal_weak_order(w, normalizer)
+    best = _order_values(w, _weak_orders(n)).max() / normalizer
+    assert value == pytest.approx(best, abs=1e-12)
+    attained = _order_values(w, scorer.scores()[None, :])[0] / normalizer
+    assert attained == pytest.approx(best, abs=1e-12)
 
 
 def test_optimal_weak_order_beats_random_orders():
