@@ -18,8 +18,9 @@ from .core import (
     PriorVector,
     SampledLabels,
     TableScorer,
+    _positive_weights,
 )
-from .errors import DegenerateLabel, InvalidCosts
+from .errors import InvalidCosts
 
 __all__ = [
     "alpha_vector",
@@ -39,28 +40,21 @@ _SCALE_TOL = 1e-8
 
 
 def _priors_array(priors, K: int) -> np.ndarray:
-    if isinstance(priors, PriorVector):
-        pi = priors.pi
-    elif isinstance(priors, (SampledLabels, EtaTable)):
-        pi = (
-            PriorVector.from_labels(priors) if isinstance(priors, SampledLabels) else PriorVector.from_eta(priors)
-        ).pi
-    else:
-        pi = np.asarray(priors, dtype=float)
-    if pi.shape[0] != K:
+    if isinstance(priors, SampledLabels):
+        priors = PriorVector.from_labels(priors)
+    elif isinstance(priors, EtaTable):
+        priors = PriorVector.from_eta(priors)
+    elif not isinstance(priors, PriorVector):
+        priors = PriorVector(priors)
+    if priors.pi.shape[0] != K:
         raise ValueError("prior count must match K")
-    bad = np.flatnonzero((pi <= 0.0) | (pi >= 1.0))
-    if bad.size:
-        raise DegenerateLabel(f"label {bad[0]} has prior {pi[bad[0]]}")
-    return pi
+    return priors.require_nondegenerate()
 
 
 def alpha_vector(priors, weights) -> np.ndarray:
     """Per-label influence coefficients a_k / (pi_k (1 - pi_k))."""
-    a = np.asarray(weights, dtype=float)
+    a = _positive_weights(weights)
     pi = _priors_array(priors, a.shape[0])
-    if np.any(a <= 0):
-        raise ValueError("weights must be strictly positive")
     return a / (pi * (1.0 - pi))
 
 
@@ -85,10 +79,7 @@ def label_agg_bayes_scorer_sum(eta: EtaTable) -> TableScorer:
 
 def label_agg_bayes_scorer_weighted(eta: EtaTable, alphas) -> TableScorer:
     """Weighted-sum variant: score_i = sum_k alpha_k * eta_{ik}."""
-    a = np.asarray(alphas, dtype=float)
-    if a.shape[0] != eta.K or np.any(a <= 0):
-        raise ValueError("need strictly positive weights matching K")
-    return TableScorer(eta.eta @ a)
+    return TableScorer(eta.eta @ _positive_weights(alphas, eta.K))
 
 
 def label_agg_uniform_cost_scorer_k2(eta: EtaTable) -> TableScorer:

@@ -20,6 +20,7 @@ from .core import (
     LabelAgg,
     TableScorer,
     WeightedSum,
+    _positive_weights,
 )
 from .errors import DegenerateVariance
 from .oracle import certify_bayes
@@ -43,9 +44,7 @@ def psi(t: float) -> float:
 
 
 def _moment_sums(eta: EtaTable, weights) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(weights, dtype=float)
-    if a.shape[0] != eta.K or np.any(a <= 0):
-        raise ValueError("need strictly positive weights matching K")
+    a = _positive_weights(weights, eta.K)
     var = eta.eta * (1.0 - eta.eta)
     u2 = var @ (a**2)
     u3 = var @ (a**3)
@@ -65,7 +64,7 @@ def gap_bound(eta: EtaTable, weights) -> BoundReport:
 
 def _aggregate_objective(eta: EtaTable, weights) -> tuple[JointLabelModel, LabelAgg]:
     model = JointLabelModel.from_eta(eta)
-    agg = WeightedSum(tuple(float(a) for a in np.asarray(weights, dtype=float)))
+    agg = WeightedSum(weights)
     return model, LabelAgg(agg, CostMatrix.uniform(agg.values().shape[0]))
 
 

@@ -3,9 +3,9 @@
 Subcommands: skew-sweep, train, oracle, bound. Exit codes: 0 success,
 2 flag errors, 3 data errors, 4 enumeration budget errors. Flags override
 values from an optional key=value --config file, which overrides builtin
-defaults. RANKAGG_THREADS caps the worker pool used for independent sweep
-points and trials; each point is single-threaded for determinism and rows
-are sorted before writing.
+defaults. RANKAGG_THREADS caps the worker pool that runs independent train
+trials; each trial is single-threaded for determinism and rows are sorted
+before writing. Sweep and bound points run one after another.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def cmd_skew_sweep(args) -> int:
             for target in args.pi2:
                 rho = _solve_rho_for_pi2(feats, tau, target)
                 tasks.append((tau, rho, target, args.n, args.seed))
-    rows = [row for chunk in _run_points(_sweep_point, tasks) for row in chunk]
+    rows = [row for task in tasks for row in _sweep_point(task)]
     rows.sort(key=lambda r: (r[1], r[4], r[5]))
     header = [
         "experiment",
@@ -449,8 +449,7 @@ def cmd_bound(args) -> int:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         return ["bound", K, report.empirical_gap, report.bound_value, report.argument, elapsed_ms, args.seed]
 
-    rows = _run_points(run_k, sorted(args.K))
-    rows.sort(key=lambda r: r[1])
+    rows = [run_k(K) for K in sorted(args.K)]
     header = ["experiment", "K", "gap", "bound", "argument", "runtime_ms", "seed"]
     dataio.write_rows(args.out, header, rows)
     if not args.no_plot:

@@ -48,6 +48,18 @@ def _require_cells(cells: int, what: str) -> None:
         raise TooLarge(f"{what} needs {cells} cells, over the cap of {_MAX_TABLE_CELLS}")
 
 
+def _positive_weights(weights, count: int | None = None) -> np.ndarray:
+    """Weights as a float vector; ValueError unless nonempty, count long, finite and > 0."""
+    a = np.array(weights, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("need a nonempty list of weights")
+    if count is not None and a.size != count:
+        raise ValueError(f"{a.size} weights for {count} labels")
+    if not np.all((a > 0) & (a < np.inf)):  # NaN fails both comparisons
+        raise ValueError("weights must be strictly positive and finite")
+    return a
+
+
 def _frozen_array(values, dtype=float, ndim=None, nan_name=None) -> np.ndarray:
     """Read-only copy; with nan_name set, NaN entries raise ValueError naming it."""
     arr = np.array(values, dtype=dtype)
@@ -353,10 +365,7 @@ class WeightedSum:
     alphas: tuple
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        if not alphas or not all(0 < a < np.inf for a in alphas):
-            raise ValueError("weights must be strictly positive and finite")
-        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "alphas", tuple(_positive_weights(self.alphas).tolist()))
 
     def values(self) -> np.ndarray:
         """Distinct weighted sums over {0,1}^K in increasing order.
@@ -408,10 +417,7 @@ class LossAgg:
     weights: tuple
 
     def __post_init__(self):
-        w = tuple(float(a) for a in self.weights)
-        if not w or any(a <= 0 for a in w):
-            raise ValueError("weights must be strictly positive")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", tuple(_positive_weights(self.weights).tolist()))
 
 
 @dataclass(frozen=True)

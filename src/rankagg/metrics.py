@@ -10,8 +10,10 @@ Conventions, kept consistent per path:
     rejected with ValueError.
 
 Every AUC is a weighted pair sum sum_ij u_i v_j H(s_i - s_j) and goes
-through one sort-and-cumulative-sum kernel. The dense h_matrix and
-population_pair_weights stay for the exhaustive oracle, which needs W.
+through one sort-and-cumulative-sum kernel. A population objective's pair
+weights are W = u v^T of the same weight columns; population_pair_weights
+builds that dense n x n matrix only for the exhaustive oracle, which
+evaluates it against h_matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "pareto_dominates",
     "pareto_front",
     "population_pair_weights",
-    "population_objective_value",
 ]
 
 
@@ -115,14 +116,17 @@ def bipartite_auc_population(scores, eta_column) -> float:
     return float(_bipartite_aucs(scores, eta, 1.0 - eta)[0])
 
 
-def _multipartite(scores, probs: np.ndarray, costs: CostMatrix) -> float:
-    """Cost-weighted pair accuracy for per-level weights probs (n x levels)."""
+def _cost_lower(probs: np.ndarray, costs: CostMatrix) -> np.ndarray:
+    """lower[j, m] = sum over m' < m of c[m, m'] probs[j, m'] for probs (n x levels)."""
     levels = probs.shape[1]
     if costs.size < levels:
         raise ValueError("cost matrix smaller than the ordinal alphabet")
-    # lower[j, m] = sum over m' < m of c[m, m'] probs[j, m']
-    lower = probs @ np.tril(costs.costs[:levels, :levels], -1).T
-    sums, pairs = _pair_sums(scores, probs, lower)
+    return probs @ np.tril(costs.costs[:levels, :levels], -1).T
+
+
+def _multipartite(scores, probs: np.ndarray, costs: CostMatrix) -> float:
+    """Cost-weighted pair accuracy for per-level weights probs (n x levels)."""
+    sums, pairs = _pair_sums(scores, probs, _cost_lower(probs, costs))
     total = pairs.sum()
     if total == 0.0:
         raise DegenerateLabel("no discordant pair carries positive cost")
@@ -133,19 +137,6 @@ def multipartite_auc(scores, ordinal_labels, costs: CostMatrix) -> float:
     """Cost-weighted pair accuracy over ordinal labels, normalized to [0, 1]."""
     y = np.asarray(ordinal_labels)
     return _multipartite(scores, (y[:, None] == np.arange(y.max() + 1)).astype(float), costs)
-
-
-def _population_cost_weights(dist: AggregateDistribution, costs: CostMatrix) -> np.ndarray:
-    levels = dist.values.shape[0]
-    if costs.size < levels:
-        raise ValueError("cost matrix smaller than the aggregate alphabet")
-    w = np.zeros((dist.probs.shape[0],) * 2)
-    for m in range(levels):
-        for mp in range(m):
-            c = costs.costs[m, mp]
-            if c != 0.0:
-                w += c * np.outer(dist.probs[:, m], dist.probs[:, mp])
-    return w
 
 
 def multipartite_auc_population(scores, dist: AggregateDistribution, costs: CostMatrix) -> float:
@@ -227,53 +218,35 @@ def population_pair_weights(model, objective) -> tuple[np.ndarray, float]:
     """Pair-weight matrix W and normalizer Z for a population objective.
 
     The objective value of a score vector s is (W * H(s)).sum() / Z, with
-    H over all ordered pairs including i = j. This single quadratic form is
-    what the exhaustive weak-order maximizer optimizes.
+    H over all ordered pairs including i = j. W = u v^T for the weight
+    columns the AUC kernel sums over: eta a_k / (n^2 pi_k (1 - pi_k)) and
+    1 - eta per label, or the aggregate law and its cost-weighted lower
+    levels. This single quadratic form is what the exhaustive weak-order
+    maximizer optimizes.
     """
     if isinstance(model, EtaTable):
         model = JointLabelModel.from_eta(model)
     if not isinstance(model, JointLabelModel):
         raise TypeError("population weights need a probability model")
-    eta = model.marginal_eta().eta
-    n = model.n
-    if isinstance(objective, PerLabel):
-        col = eta[:, objective.k]
-        pi = col.mean()
-        if pi <= 0.0 or pi >= 1.0:
-            raise DegenerateLabel(f"label {objective.k} has prior {pi}")
-        return np.outer(col, 1.0 - col) / (pi * (1.0 - pi) * n * n), 1.0
-    if isinstance(objective, LossAgg):
-        a = np.asarray(objective.weights, dtype=float)
-        if a.shape[0] != model.K:
-            raise ValueError("weight count must match K")
-        w = np.zeros((n, n))
-        for k in range(model.K):
-            col = eta[:, k]
-            pi = col.mean()
-            if pi <= 0.0 or pi >= 1.0:
-                raise DegenerateLabel(f"label {k} has prior {pi}")
-            w += a[k] * np.outer(col, 1.0 - col) / (pi * (1.0 - pi) * n * n)
-        return w, 1.0
+    if isinstance(objective, (PerLabel, LossAgg)):
+        if isinstance(objective, PerLabel):
+            labels, a = [objective.k], np.ones(1)
+        else:
+            labels, a = list(range(model.K)), np.asarray(objective.weights)
+            if a.shape[0] != model.K:
+                raise ValueError("weight count must match K")
+        eta = model.marginal_eta().eta[:, labels]
+        pi = eta.mean(axis=0)
+        bad = np.flatnonzero((pi <= 0.0) | (pi >= 1.0))
+        if bad.size:
+            raise DegenerateLabel(f"label {labels[bad[0]]} has prior {pi[bad[0]]}")
+        n = model.n
+        return (eta * (a / (pi * (1.0 - pi) * n * n))) @ (1.0 - eta).T, 1.0
     if isinstance(objective, LabelAgg):
-        dist = aggregate_distribution(model, objective.aggregator)
-        w = _population_cost_weights(dist, objective.costs)
+        probs = aggregate_distribution(model, objective.aggregator).probs
+        w = probs @ _cost_lower(probs, objective.costs).T
         total = w.sum()
         if total == 0.0:
             raise DegenerateLabel("aggregate label is degenerate under these costs")
         return w, float(total)
-    raise TypeError(f"unsupported objective {objective!r}")
-
-
-def population_objective_value(scores, model, objective) -> float:
-    """(W * H(s)).sum() / Z for population_pair_weights' W and Z, via the pair kernel."""
-    if isinstance(model, EtaTable):
-        model = JointLabelModel.from_eta(model)
-    if not isinstance(model, JointLabelModel):
-        raise TypeError("population weights need a probability model")
-    if isinstance(objective, PerLabel):
-        return bipartite_auc_population(scores, model.marginal_eta().eta[:, objective.k])
-    if isinstance(objective, LossAgg):
-        return loss_agg_auc(scores, model, objective.weights)
-    if isinstance(objective, LabelAgg):
-        return label_agg_auc(scores, model, objective.aggregator, objective.costs)
     raise TypeError(f"unsupported objective {objective!r}")

@@ -35,6 +35,8 @@ def test_alpha_vector_formula_and_validation():
         alpha_vector(np.array([0.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         alpha_vector(np.array([0.5, 0.5]), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="NaN"):
+        alpha_vector(np.array([np.nan, 0.5]), np.array([1.0, 1.0]))
 
 
 def test_loss_agg_scorer_ordering_invariant_to_weight_rescaling():

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankagg
+from rankagg import cli
 from rankagg.cli import main
 from rankagg.dataio import write_dataset
 from rankagg.oracle import MAX_EXHAUSTIVE_N
@@ -225,15 +227,34 @@ def test_bound_reaches_hundreds_of_labels(tmp_path):
     assert all(0.0 <= float(row[2]) <= float(row[3]) + 1e-12 for row in rows)
 
 
-def test_worker_pool_does_not_change_results(tmp_path, monkeypatch):
+def test_worker_pool_does_not_change_results(dataset_csv, tmp_path, monkeypatch):
     args = [
-        "skew-sweep", "--tau", "2.0", "--pi2", "0.5,0.6,0.7", "--n", "300",
-        "--seed", "4", "--no-plot",
+        "train", "--data", str(dataset_csv), "--objective", "labelagg:uniform",
+        "--epochs", "5", "--trials", "3", "--resample-pi", "0:0.7", "--no-plot",
     ]
     assert main(args + ["--out", str(tmp_path / "serial.csv")]) == 0
+    pools = []
+
+    def recording_pool(**kwargs):
+        pools.append(kwargs)
+        return ThreadPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setenv("RANKAGG_THREADS", "4")
     assert main(args + ["--out", str(tmp_path / "pooled.csv")]) == 0
+    assert pools == [{"max_workers": 4}]
     assert _stable_bytes(tmp_path / "serial.csv") == _stable_bytes(tmp_path / "pooled.csv")
+
+
+def test_sweep_and_bound_start_no_worker_pool(tmp_path, monkeypatch):
+    def no_pool(**kwargs):
+        raise AssertionError("started a worker pool")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("RANKAGG_THREADS", "4")
+    sweep = ["skew-sweep", "--tau", "2.0", "--pi2", "0.5,0.6,0.7", "--n", "300", "--no-plot"]
+    assert main(sweep + ["--out", str(tmp_path / "sweep.csv")]) == 0
+    assert main(["bound", "--K", "2,4,8", "--n", "4", "--no-plot", "--out", str(tmp_path / "bound.csv")]) == 0
 
 
 def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():

@@ -12,6 +12,7 @@ from rankagg import (
     EtaTable,
     InstanceSet,
     JointLabelModel,
+    LossAgg,
     PriorVector,
     SampledLabels,
     Sum,
@@ -21,6 +22,9 @@ from rankagg import (
     WeightedSum,
     aggregate_distribution,
     aggregate_labels,
+    alpha_vector,
+    gap_bound,
+    label_agg_bayes_scorer_weighted,
 )
 
 eta_tables = arrays(
@@ -124,6 +128,27 @@ def test_weighted_sum_distribution_covers_achievable_values():
 def test_weighted_sum_rejects_nonpositive_and_nonfinite_weights(bad):
     with pytest.raises(ValueError):
         WeightedSum((1.0, bad))
+
+
+_ETA2 = EtaTable(np.array([[0.2, 0.7], [0.6, 0.4], [0.9, 0.1]]))
+# entry point -> (build from weights, whether weights must number K = 2)
+_WEIGHT_ENTRY_POINTS = {
+    "LossAgg": (LossAgg, False),
+    "WeightedSum": (WeightedSum, False),
+    "alpha_vector": (lambda a: alpha_vector(_ETA2, a), True),
+    "label_agg_bayes_scorer_weighted": (lambda a: label_agg_bayes_scorer_weighted(_ETA2, a), True),
+    "gap_bound": (lambda a: gap_bound(_ETA2, a), True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_WEIGHT_ENTRY_POINTS))
+def test_weights_must_be_nonempty_finite_positive_and_match_k(entry):
+    build, counted = _WEIGHT_ENTRY_POINTS[entry]
+    build([1.0, 2.0])
+    bad = [[], [1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [1.0, 0.0], [-1.0, 2.0]]
+    for weights in bad + ([[1.0, 1.0, 1.0]] if counted else []):
+        with pytest.raises(ValueError):
+            build(weights)
 
 
 def _add_at_distribution(eta: np.ndarray, alphas) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,13 @@ from rankagg import (
     DegenerateLabel,
     EtaTable,
     JointLabelModel,
+    LabelAgg,
+    LossAgg,
+    PerLabel,
     SampledLabels,
     Sum,
+    WeightedSum,
+    aggregate_distribution,
     auc_report,
     bipartite_auc_empirical,
     bipartite_auc_population,
@@ -85,13 +90,31 @@ def test_label_agg_auc_with_one_label_is_bipartite():
 
 
 # few distinct values so ties (including among infinities) are common
-_tie_scores = st.lists(
-    st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 3.0, np.inf]) | st.floats(-5, 5), min_size=1, max_size=40
-)
+_tie_values = st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 3.0, np.inf]) | st.floats(-5, 5)
+_tie_scores = st.lists(_tie_values, min_size=1, max_size=40)
 
 
 def _close(got, want):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _dense_cost_weights(probs, costs):
+    """Reference W_ij = sum over levels m > m' of c[m, m'] p_i(m) p_j(m'), one outer product per pair."""
+    w = np.zeros((probs.shape[0],) * 2)
+    for m in range(probs.shape[1]):
+        for mp in range(m):
+            w += costs.costs[m, mp] * np.outer(probs[:, m], probs[:, mp])
+    return w
+
+
+def _dense_label_weights(eta, a):
+    """Reference sum over labels of a_k eta_k (1 - eta_k)^T / (n^2 pi_k (1 - pi_k))."""
+    n = eta.shape[0]
+    w = np.zeros((n, n))
+    for k in range(eta.shape[1]):
+        pi = eta[:, k].mean()
+        w += a[k] * np.outer(eta[:, k], 1.0 - eta[:, k]) / (n * n * pi * (1.0 - pi))
+    return w
 
 
 @settings(deadline=None, max_examples=200)
@@ -113,7 +136,7 @@ def test_pair_kernel_matches_dense_h_matrix(values, seed):
     probs = rng.dirichlet(np.ones(4), n)
     costs = CostMatrix(rng.uniform(0.0, 2.0, (4, 4)))
     dist = AggregateDistribution(np.arange(4.0), probs)
-    w = metrics._population_cost_weights(dist, costs)
+    w = _dense_cost_weights(probs, costs)
     if w.sum() > 0.0:
         _close(multipartite_auc_population(s, dist, costs), (w * h).sum() / w.sum())
     if n >= 2:
@@ -123,6 +146,36 @@ def test_pair_kernel_matches_dense_h_matrix(values, seed):
         eta[:2, 0] = (1.0, 0.0)
         w = np.outer(eta[:, 0], 1.0 - eta[:, 0])
         _close(bipartite_auc_population(s, eta[:, 0]), (w * h).sum() / w.sum())
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_tie_values, min_size=1, max_size=12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_population_pair_weights_match_outer_products_and_kernel_aucs(values, K, seed):
+    s = np.array(values)
+    n = s.shape[0]
+    rng = np.random.default_rng(seed)
+    eta = rng.uniform(0.0, 1.0, (n, K))
+    snap = rng.random((n, K)) < 0.3
+    eta[snap] = rng.integers(0, 2, snap.sum())
+    eta[0] = rng.uniform(0.05, 0.95, K)  # keeps every prior strictly inside (0, 1)
+    model = EtaTable(eta)
+    h = h_matrix(s)
+    a = rng.uniform(0.1, 3.0, K)
+    k = int(rng.integers(K))
+    cases = [
+        (PerLabel(k), _dense_label_weights(eta[:, [k]], [1.0]), 1.0, bipartite_auc_population(s, eta[:, k])),
+        (LossAgg(tuple(a)), _dense_label_weights(eta, a), 1.0, loss_agg_auc(s, model, a)),
+    ]
+    for aggregator in (Sum(), WeightedSum(tuple(rng.choice([0.5, 1.0, 1.5, 2.25], K)))):
+        probs = aggregate_distribution(JointLabelModel.from_eta(model), aggregator).probs
+        costs = CostMatrix(rng.uniform(0.1, 2.0, (probs.shape[1] + 1,) * 2))
+        w = _dense_cost_weights(probs, costs)
+        cases.append((LabelAgg(aggregator, costs), w, w.sum(), label_agg_auc(s, model, aggregator, costs)))
+    for objective, want_w, want_z, auc in cases:
+        w, z = metrics.population_pair_weights(model, objective)
+        assert np.all(np.abs(w - want_w) <= 1e-12 * np.maximum(1.0, np.abs(want_w)))
+        _close(z, want_z)
+        _close((w * h).sum() / z, auc)
 
 
 def test_nan_scores_are_rejected():
