@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import dataio, svgplot
 from .bayes import label_agg_bayes_scorer_sum, loss_agg_bayes_scorer
@@ -115,6 +114,9 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
     bracket unchanged every later one would too; stopping there returns the
     same value the full 200 steps would.
     """
+    # imported here: scipy.special costs a noticeable share of process start-up
+    from scipy.special import expit
+
     lo, hi = -50.0, 50.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

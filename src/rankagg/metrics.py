@@ -33,6 +33,7 @@ from .core import (
     PerLabel,
     SampledLabels,
     Scorer,
+    _positive_weights,
     aggregate_distribution,
     aggregate_labels,
 )
@@ -156,11 +157,8 @@ def _per_label_auc(scores, model) -> np.ndarray:
 
 def loss_agg_auc(scores, model, weights) -> float:
     """Weighted sum of per-label AUCs (unnormalized, as defined)."""
-    a = np.asarray(weights, dtype=float)
     per_label = _per_label_auc(scores, model)
-    if a.shape[0] != per_label.shape[0]:
-        raise ValueError("weight count must match K")
-    return float(a @ per_label)
+    return float(_positive_weights(weights, per_label.shape[0]) @ per_label)
 
 
 def label_agg_auc(scores, model, aggregator: Aggregator, costs: CostMatrix) -> float:

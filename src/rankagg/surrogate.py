@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     InstanceSet,
@@ -45,18 +44,27 @@ _CHUNK_CELLS = 1 << 20
 
 @dataclass(frozen=True)
 class Logistic:
-    """phi(z) = log(1 + exp(-z)), computed branchless via logaddexp."""
+    """phi(z) = log(1 + exp(-z)), with phi and phi' from one exp(-|z|)."""
+
+    def phi_dphi(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi = max(-z, 0) + log1p(e) and phi' = -(e if z >= 0 else 1) / (1 + e), e = exp(-|z|)."""
+        z = np.asarray(z, dtype=float)
+        e = np.exp(-np.abs(z))
+        return np.maximum(-z, 0.0) + np.log1p(e), -np.where(z >= 0.0, e, 1.0) / (1.0 + e)
 
     def phi(self, z: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, -z)
+        return self.phi_dphi(z)[0]
 
     def dphi(self, z: np.ndarray) -> np.ndarray:
-        return -expit(-z)
+        return self.phi_dphi(z)[1]
 
 
 @dataclass(frozen=True)
 class Hinge:
     """phi(z) = max(0, 1 - z); subgradient 0 at the kink z = 1."""
+
+    def phi_dphi(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.phi(z), self.dphi(z)
 
     def phi(self, z: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, 1.0 - z)
@@ -115,32 +123,47 @@ def _pair_groups(labels: SampledLabels, objective) -> list[tuple[np.ndarray, np.
 
 
 def _group_loss_grad(scores, pos, neg, kind, want_grad, grad_scores, coeff):
-    """Exact mean phi over the full pos x neg cross product, chunked."""
-    f_neg = scores[neg]
-    rows = max(1, _CHUNK_CELLS // max(1, neg.size))
+    """Exact mean phi over the full pos x neg cross product, chunked.
+
+    Rows with equal scores contribute equal pair terms (resampled rows,
+    discrete features, a zero-initialized scorer), so phi is evaluated once
+    per distinct (positive, negative) score pair and weighted by the counts
+    of both values; each row then takes its score value's gradient.
+    """
+    f_pos, inv_pos, c_pos = np.unique(scores[pos], return_inverse=True, return_counts=True)
+    f_neg, inv_neg, c_neg = np.unique(scores[neg], return_inverse=True, return_counts=True)
+    c_pos, c_neg = c_pos.astype(float), c_neg.astype(float)
+    rows = max(1, _CHUNK_CELLS // f_neg.size)
     total = 0.0
-    n_pairs = pos.size * neg.size
-    for start in range(0, pos.size, rows):
-        block = pos[start : start + rows]
-        z = scores[block][:, None] - f_neg[None, :]
-        total += float(kind.phi(z).sum())
+    g_pos = np.empty(f_pos.size)
+    g_neg = np.zeros(f_neg.size)
+    for start in range(0, f_pos.size, rows):
+        block = slice(start, start + rows)
+        phi, dphi = kind.phi_dphi(f_pos[block, None] - f_neg[None, :])
+        # np.sum's pairwise summation keeps the loss's rounding as small as a dense sum's
+        total += float((phi * c_neg).sum(axis=1) @ c_pos[block])
         if want_grad:
-            d = kind.dphi(z) * (coeff / n_pairs)
-            np.add.at(grad_scores, block, d.sum(axis=1))
-            np.add.at(grad_scores, neg, -d.sum(axis=0))
-    return coeff * total / n_pairs
+            g_pos[block] = dphi @ c_neg
+            g_neg -= c_pos[block] @ dphi
+    scale = coeff / (pos.size * neg.size)
+    if want_grad:
+        # pos and neg each hold distinct rows, so indexed += adds no row twice
+        grad_scores[pos] += scale * g_pos[inv_pos]
+        grad_scores[neg] += scale * g_neg[inv_neg]
+    return scale * total
 
 
 def _sampled_loss_grad(scores, pos, neg, kind, want_grad, grad_scores, coeff, m, rng):
     """Unbiased with-replacement pair sample of size m."""
     i = rng.choice(pos, m)
     j = rng.choice(neg, m)
-    z = scores[i] - scores[j]
+    phi, dphi = kind.phi_dphi(scores[i] - scores[j])
     if want_grad:
-        d = kind.dphi(z) * (coeff / m)
-        np.add.at(grad_scores, i, d)
-        np.add.at(grad_scores, j, -d)
-    return coeff * float(kind.phi(z).mean())
+        # sampled rows repeat, so their terms are summed by bincount
+        d = dphi * (coeff / m)
+        n = grad_scores.size
+        grad_scores += np.bincount(i, weights=d, minlength=n) - np.bincount(j, weights=d, minlength=n)
+    return coeff * float(phi.mean())
 
 
 def _loss_and_score_grad(scores, groups, kind, want_grad, budget=None, rng=None):
@@ -271,8 +294,9 @@ def train(
     """Full-batch training, one step per epoch, deterministic per seed.
 
     When the pair count exceeds the budget, each step draws a fresh seeded
-    pair sample. The trace records the surrogate loss and per-label AUCs
-    (train, and eval when given) after every step.
+    pair sample. The trace records the surrogate loss and the training
+    per-label AUCs after every step; the eval AUCs, when eval data is given,
+    are computed once, on the last row only.
     """
     groups = _pair_groups(labels, config.objective)
     scorer = init_scorer(instances.d, config.hidden, config.seed)
@@ -300,7 +324,7 @@ def train(
         scorer = _rebuild(scorer, params)
         row = {"epoch": epoch, "loss": loss}
         row["train"] = auc_report(scorer.scores(instances), labels)
-        if eval_instances is not None and eval_labels is not None:
-            row["eval"] = auc_report(scorer.scores(eval_instances), eval_labels)
         trace.append(row)
+    if eval_instances is not None and eval_labels is not None:
+        trace[-1]["eval"] = auc_report(scorer.scores(eval_instances), eval_labels)
     return scorer, trace

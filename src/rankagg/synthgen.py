@@ -2,7 +2,9 @@
 
 A single 64-bit seed fans out to fixed substreams (model weights,
 features, label draws, resampling) so changing n never reshuffles
-earlier stages.
+earlier stages. The logistic generators import scipy.special.expit when
+they run: loading scipy.special costs a noticeable share of process
+start-up, and training runs never need it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .core import EtaTable, InstanceSet, SampledLabels
 from .errors import DegenerateLabel
@@ -66,6 +67,8 @@ def _sample_labels(eta: np.ndarray, rng: np.random.Generator) -> SampledLabels:
 
 def gen_sigmoid_pair(config: SigmoidSynthConfig) -> SynthData:
     """Two-label logistic model: eta1 = s(tau w1.x), eta2 = s(tau (w2.x - rho))."""
+    from scipy.special import expit
+
     if config.n < 1:
         raise ValueError("need n >= 1")
     feats = _rng(config.seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (config.n, 2))
@@ -96,6 +99,8 @@ def gen_gaussian_bilevel(n: int, seed: int) -> SynthData:
 
 def gen_d3_training_pair(n: int, seed: int, tau: float) -> SynthData:
     """Two logistic labels with directions w1, w2 drawn uniform on [-1, 1]^2."""
+    from scipy.special import expit
+
     if n < 1:
         raise ValueError("need n >= 1")
     w = _rng(seed, _STREAM_WEIGHTS).uniform(-1.0, 1.0, (2, 2))
@@ -118,6 +123,8 @@ def gen_conflicting_pair(
     label 1 afterwards reproduces the strong-skewed-label versus
     weak-balanced-label tension of the training comparisons.
     """
+    from scipy.special import expit
+
     if n < 1:
         raise ValueError("need n >= 1")
     feats = _rng(seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (n, 2))

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -16,13 +17,11 @@ from rankagg.synthgen import gen_conflicting_pair
 
 
 def _stable_bytes(path):
-    """CSV content minus the wall-clock column, which reruns cannot repeat."""
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    keep = [i for i, name in enumerate(header) if name != "runtime_ms"]
-    return "\n".join(
-        ",".join(line.split(",")[i] for i in keep) for line in lines
-    )
+    """CSV cells minus the wall-clock column, which reruns cannot repeat."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name != "runtime_ms"]
+    return [[row[i] for i in keep] for row in rows]
 
 
 @pytest.fixture
@@ -228,11 +227,6 @@ def test_bound_reaches_hundreds_of_labels(tmp_path):
 
 
 def test_worker_pool_does_not_change_results(dataset_csv, tmp_path, monkeypatch):
-    args = [
-        "train", "--data", str(dataset_csv), "--objective", "labelagg:uniform",
-        "--epochs", "5", "--trials", "3", "--resample-pi", "0:0.7", "--no-plot",
-    ]
-    assert main(args + ["--out", str(tmp_path / "serial.csv")]) == 0
     pools = []
 
     def recording_pool(**kwargs):
@@ -240,10 +234,20 @@ def test_worker_pool_does_not_change_results(dataset_csv, tmp_path, monkeypatch)
         return ThreadPoolExecutor(**kwargs)
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setenv("RANKAGG_THREADS", "4")
-    assert main(args + ["--out", str(tmp_path / "pooled.csv")]) == 0
-    assert pools == [{"max_workers": 4}]
-    assert _stable_bytes(tmp_path / "serial.csv") == _stable_bytes(tmp_path / "pooled.csv")
+    # lossagg:1,2 is written quoted, so it also checks the CSV parsing
+    for objective in ("labelagg:uniform", "lossagg:1,2"):
+        args = [
+            "train", "--data", str(dataset_csv), "--objective", objective,
+            "--epochs", "5", "--trials", "3", "--resample-pi", "0:0.7", "--no-plot",
+        ]
+        monkeypatch.delenv("RANKAGG_THREADS", raising=False)
+        assert main(args + ["--out", str(tmp_path / "serial.csv")]) == 0
+        monkeypatch.setenv("RANKAGG_THREADS", "4")
+        assert main(args + ["--out", str(tmp_path / "pooled.csv")]) == 0
+        serial = _stable_bytes(tmp_path / "serial.csv")
+        assert serial == _stable_bytes(tmp_path / "pooled.csv")
+        assert serial[1][2] == objective
+    assert pools == [{"max_workers": 4}] * 2
 
 
 def test_sweep_and_bound_start_no_worker_pool(tmp_path, monkeypatch):
@@ -257,10 +261,22 @@ def test_sweep_and_bound_start_no_worker_pool(tmp_path, monkeypatch):
     assert main(["bound", "--K", "2,4,8", "--n", "4", "--no-plot", "--out", str(tmp_path / "bound.csv")]) == 0
 
 
-def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
-    # a fresh interpreter, since this one may already hold both modules
+def _scipy_modules_after(statements):
+    """scipy modules loaded once a fresh interpreter has run the statements."""
     src = str(Path(rankagg.__file__).resolve().parent.parent)
-    code = "import sys, rankagg.cli; print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    code = f"import sys; {statements}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # a fresh interpreter, since this one already holds scipy
+    assert _scipy_modules_after("import rankagg.cli") == "[]"
+
+
+def test_train_run_loads_no_scipy(dataset_csv, tmp_path):
+    out = tmp_path / "o.csv"
+    argv = ["train", "--data", str(dataset_csv), "--out", str(out), "--epochs", "3", "--resample-pi", "0:0.7", "--no-plot"]
+    assert _scipy_modules_after(f"from rankagg.cli import main; assert main({argv!r}) == 0") == "[]"
+    assert len(out.read_text().splitlines()) == 4

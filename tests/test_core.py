@@ -25,6 +25,7 @@ from rankagg import (
     alpha_vector,
     gap_bound,
     label_agg_bayes_scorer_weighted,
+    loss_agg_auc,
 )
 
 eta_tables = arrays(
@@ -138,6 +139,7 @@ _WEIGHT_ENTRY_POINTS = {
     "alpha_vector": (lambda a: alpha_vector(_ETA2, a), True),
     "label_agg_bayes_scorer_weighted": (lambda a: label_agg_bayes_scorer_weighted(_ETA2, a), True),
     "gap_bound": (lambda a: gap_bound(_ETA2, a), True),
+    "loss_agg_auc": (lambda a: loss_agg_auc(np.array([0.3, 0.1, 0.2]), _ETA2, a), True),
 }
 
 

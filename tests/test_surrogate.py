@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from rankagg import (
     CostMatrix,
@@ -93,6 +96,84 @@ def test_hinge_gradients_away_from_the_kink():
         assert _max_rel_err(analytic, numeric) < 1e-5
 
 
+# kind -> (surrogate, dense phi, dense phi'): the references the fused and
+# distinct-pair evaluation must reproduce
+_DENSE_KINDS = {
+    "logistic": (Logistic(), lambda z: np.logaddexp(0.0, -z), lambda z: -expit(-z)),
+    "hinge": (Hinge(), lambda z: np.maximum(0.0, 1.0 - z), lambda z: -(z < 1.0).astype(float)),
+}
+
+
+def test_fused_logistic_matches_logaddexp_and_expit():
+    z = np.concatenate([np.linspace(-745.0, 745.0, 200_001), [0.0, -0.0, np.inf, -np.inf]])
+    phi, dphi = Logistic().phi_dphi(z)
+    _, dense_phi, dense_dphi = _DENSE_KINDS["logistic"]
+    tiny = np.finfo(float).tiny  # below it results are subnormal and carry fewer bits
+    for got, want in ((phi, dense_phi(z)), (dphi, dense_dphi(z))):
+        normal = np.abs(want) >= tiny
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-15, atol=0.0)
+        assert np.all(np.abs(got[~normal]) < tiny)
+    phi, dphi = Logistic().phi_dphi(np.array([0.0, np.inf, -np.inf]))
+    assert phi.tolist() == [np.log(2.0), 0.0, np.inf]
+    assert dphi.tolist() == [-0.5, 0.0, -1.0]
+
+
+def _dense_pair_weights(labels, objective):
+    """n x n W with loss = sum_ij W_ij phi(s_i - s_j), straight from the objective's definition."""
+    y = labels.labels
+    if isinstance(objective, PerLabel):
+        col = y[:, objective.k]
+        w = np.outer(col == 1, col == 0).astype(float)
+        return w / w.sum()
+    if isinstance(objective, LossAgg):
+        return sum(a * _dense_pair_weights(labels, PerLabel(k)) for k, a in enumerate(objective.weights))
+    level = y.sum(axis=1)  # the Sum aggregator
+    w = np.where(level[:, None] > level[None, :], objective.costs.costs[level[:, None], level[None, :]], 0.0)
+    return w / w.sum()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(sorted(_DENSE_KINDS)),
+    st.sampled_from([0.0, 0.1, 1.0, 40.0]),
+    st.integers(0, 3),
+)
+def test_distinct_score_pairs_match_the_dense_pair_block(seed, distinct, discrete, resampled, kind_name, scale, which):
+    # few distinct feature rows, so scores repeat within and across classes;
+    # integer features and weights also put hinge pairs exactly on the kink
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    base = rng.integers(-2, 3, (distinct, 3)).astype(float) if discrete else rng.standard_normal((distinct, 3))
+    rows = rng.integers(0, distinct, n)
+    # resampled rows carry their labels along; otherwise equal rows may disagree
+    labels = rng.integers(0, 2, (distinct, 2))[rows] if resampled else rng.integers(0, 2, (n, 2))
+    labels[0], labels[1] = (1, 1), (0, 0)
+    feats = base[rows]
+    weights = np.round(rng.standard_normal(3) * 2.0) if discrete else rng.standard_normal(3)
+    scorer = LinearScorer(weights=scale * weights, bias=0.3)
+    inst, labs = InstanceSet(feats), SampledLabels(labels)
+    objective = [PerLabel(0), LossAgg((1.0, 2.5)), LabelAgg(Sum(), CostMatrix.absdiff(3)), LabelAgg(Sum(), CostMatrix.uniform(3))][which]
+    kind, dense_phi, dense_dphi = _DENSE_KINDS[kind_name]
+
+    w = _dense_pair_weights(labs, objective)
+    s = scorer.scores(inst)
+    z = s[:, None] - s[None, :]
+    d = w * dense_dphi(z)
+    grad_scores = d.sum(axis=1) - d.sum(axis=0)
+    want_loss = float((w * dense_phi(z)).sum())
+    want_grads = [feats.T @ grad_scores, np.array([grad_scores.sum()])]
+
+    loss = surrogate_objective(scorer, inst, labs, objective, kind)
+    grads = surrogate_gradient(scorer, inst, labs, objective, kind)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+    for got, want in zip(grads, want_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_surrogates_upper_bound_the_misranking_indicator():
     z = np.linspace(-5, 5, 401)
     indicator = (z <= 0).astype(float)
@@ -156,6 +237,7 @@ def test_eval_reports_are_attached():
     config = TrainConfig(objective=PerLabel(1), epochs=2)
     _, trace = train(inst, labels, config, eval_instances=inst, eval_labels=labels)
     assert "eval" in trace[-1]
+    assert all("eval" not in row for row in trace[:-1])  # eval AUCs only on the last row
     np.testing.assert_allclose(
         trace[-1]["eval"].per_label, trace[-1]["train"].per_label
     )
