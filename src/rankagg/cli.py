@@ -112,19 +112,29 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
 
     Each step is a function of (lo, hi) alone, so once a step leaves the
     bracket unchanged every later one would too; stopping there returns the
-    same value the full 200 steps would.
+    same value the full 200 steps would. Each step evaluates
+    1 / (1 + exp(tau * (mid - x2))) in one buffer; tau * (mid - x2) is
+    exactly -(tau * (x2 - mid)), so the mean is bit for bit that of
+    synthgen._sigmoid(tau * (x2 - mid)).
     """
-    # imported here: scipy.special costs a noticeable share of process start-up
-    from scipy.special import expit
-
+    x = np.ascontiguousarray(feats[:, 1])
+    buf = np.empty_like(x)
     lo, hi = -50.0, 50.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = float(expit(tau * (feats[:, 1] - mid)).mean())
-        bracket = (mid, hi) if value > target else (lo, mid)
-        if bracket == (lo, hi):
-            break
-        lo, hi = bracket
+    with np.errstate(over="ignore"):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            np.subtract(mid, x, out=buf)
+            buf *= tau
+            np.exp(buf, out=buf)
+            buf += 1.0
+            np.divide(1.0, buf, out=buf)
+            value = float(buf.mean())
+            bracket = (mid, hi) if value > target else (lo, mid)
+            if bracket == (lo, hi):
+                break
+            lo, hi = bracket
+    if lo == -50.0 or hi == 50.0:
+        raise ValueError(f"no label-2 shift in [-50, 50] reaches positive rate {target:g} at tau={tau:g}")
     return 0.5 * (lo + hi)
 
 
@@ -176,6 +186,12 @@ def cmd_skew_sweep(args) -> int:
     if args.rho is not None and args.pi2 is not None:
         print("give --rho or --pi2, not both", file=sys.stderr)
         return _EXIT_FLAGS
+    if args.pi2 is not None:
+        bad = [f"--pi2 {p:g}" for p in args.pi2 if not 0.0 < p < 1.0]
+        bad += [f"--tau {t:g}" for t in args.tau if not 0.0 < t < np.inf]
+        if bad:
+            print(f"{', '.join(bad)}: targets need 0 < pi2 < 1 and a finite tau > 0", file=sys.stderr)
+            return _EXIT_FLAGS
     tasks = []
     for tau in args.tau:
         if args.rho is not None:

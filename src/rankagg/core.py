@@ -104,7 +104,7 @@ class SampledLabels:
         lab = _frozen_array(self.labels, dtype=np.int64, ndim=2)
         if lab.shape[1] < 1:
             raise ValueError("need at least one label column")
-        if not np.isin(lab, (0, 1)).all():
+        if not ((lab == 0) | (lab == 1)).all():
             raise ValueError("labels must be 0/1")
         object.__setattr__(self, "labels", lab)
 

@@ -2,9 +2,9 @@
 
 A single 64-bit seed fans out to fixed substreams (model weights,
 features, label draws, resampling) so changing n never reshuffles
-earlier stages. The logistic generators import scipy.special.expit when
-they run: loading scipy.special costs a noticeable share of process
-start-up, and training runs never need it.
+earlier stages. The logistic generators share one numpy sigmoid,
+1 / (1 + exp(-z)), the formula scipy.special.expit evaluates, so the
+skew sweep never loads scipy.
 """
 
 from __future__ import annotations
@@ -61,21 +61,25 @@ _W1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
 _W2 = np.array([0.0, 1.0])
 
 
+def _sigmoid(z):
+    """Logistic function 1 / (1 + exp(-z)); exp overflows to inf for z < -709, giving 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _sample_labels(eta: np.ndarray, rng: np.random.Generator) -> SampledLabels:
     return SampledLabels((rng.random(eta.shape) < eta).astype(np.int64))
 
 
 def gen_sigmoid_pair(config: SigmoidSynthConfig) -> SynthData:
     """Two-label logistic model: eta1 = s(tau w1.x), eta2 = s(tau (w2.x - rho))."""
-    from scipy.special import expit
-
     if config.n < 1:
         raise ValueError("need n >= 1")
     feats = _rng(config.seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (config.n, 2))
     eta = np.column_stack(
         [
-            expit(config.tau * (feats @ _W1)),
-            expit(config.tau * (feats @ _W2 - config.rho)),
+            _sigmoid(config.tau * (feats @ _W1)),
+            _sigmoid(config.tau * (feats @ _W2 - config.rho)),
         ]
     )
     labels = _sample_labels(eta, _rng(config.seed, _STREAM_LABELS))
@@ -99,13 +103,11 @@ def gen_gaussian_bilevel(n: int, seed: int) -> SynthData:
 
 def gen_d3_training_pair(n: int, seed: int, tau: float) -> SynthData:
     """Two logistic labels with directions w1, w2 drawn uniform on [-1, 1]^2."""
-    from scipy.special import expit
-
     if n < 1:
         raise ValueError("need n >= 1")
     w = _rng(seed, _STREAM_WEIGHTS).uniform(-1.0, 1.0, (2, 2))
     feats = _rng(seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (n, 2))
-    eta = expit(tau * (feats @ w.T))
+    eta = _sigmoid(tau * (feats @ w.T))
     labels = _sample_labels(eta, _rng(seed, _STREAM_LABELS))
     return SynthData(InstanceSet(feats), EtaTable(eta), labels)
 
@@ -123,13 +125,11 @@ def gen_conflicting_pair(
     label 1 afterwards reproduces the strong-skewed-label versus
     weak-balanced-label tension of the training comparisons.
     """
-    from scipy.special import expit
-
     if n < 1:
         raise ValueError("need n >= 1")
     feats = _rng(seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (n, 2))
     eta = np.column_stack(
-        [expit(tau_strong * feats[:, 0]), expit(tau_weak * feats[:, 1])]
+        [_sigmoid(tau_strong * feats[:, 0]), _sigmoid(tau_weak * feats[:, 1])]
     )
     labels = _sample_labels(eta, _rng(seed, _STREAM_LABELS))
     return SynthData(InstanceSet(feats), EtaTable(eta), labels)

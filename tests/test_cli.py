@@ -46,6 +46,31 @@ def test_rho_and_pi2_are_mutually_exclusive(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--tau", "0", "--pi2", "0.7"], "--tau 0")]
+    + [(["--pi2", bad], f"--pi2 {bad}") for bad in ("1.5", "0", "-0.2", "nan")],
+)
+def test_unreachable_sweep_targets_exit_2_before_generating(tmp_path, monkeypatch, capsys, flags, named):
+    def no_data(*args, **kwargs):
+        raise AssertionError("generated data")
+
+    monkeypatch.setattr(cli, "gen_sigmoid_pair", no_data)
+    out = tmp_path / "o.csv"
+    assert main(["skew-sweep", "--out", str(out), "--n", "2000", "--no-plot", *flags]) == 2
+    assert capsys.readouterr().err.startswith(named + ":")
+    assert not out.exists()
+
+
+def test_sweep_target_outside_the_rho_bracket_exits_3(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code = main(["skew-sweep", "--out", str(out), "--tau", "0.01", "--pi2", "0.7", "--n", "2000", "--no-plot"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "0.7" in err and "tau=0.01" in err
+    assert not out.exists()
+
+
 def test_skew_sweep_reruns_byte_identical(tmp_path):
     args = [
         "skew-sweep",
@@ -280,3 +305,10 @@ def test_train_run_loads_no_scipy(dataset_csv, tmp_path):
     argv = ["train", "--data", str(dataset_csv), "--out", str(out), "--epochs", "3", "--resample-pi", "0:0.7", "--no-plot"]
     assert _scipy_modules_after(f"from rankagg.cli import main; assert main({argv!r}) == 0") == "[]"
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_sweep_run_loads_no_scipy(tmp_path):
+    out = tmp_path / "o.csv"
+    argv = ["skew-sweep", "--out", str(out), "--n", "300", "--pi2", "0.5,0.9", "--no-plot"]
+    assert _scipy_modules_after(f"from rankagg.cli import main; assert main({argv!r}) == 0") == "[]"
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2  # header, 2 taus x 2 targets x 2 methods

@@ -45,8 +45,9 @@ def test_arrays_are_frozen():
 
 
 def test_sampled_labels_reject_nonbinary():
-    with pytest.raises(ValueError):
-        SampledLabels(np.array([[0, 2]]))
+    for bad in ([[0, 2]], [[1, -1]]):
+        with pytest.raises(ValueError):
+            SampledLabels(np.array(bad))
 
 
 def test_combos_use_label0_as_most_significant_bit():

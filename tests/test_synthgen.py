@@ -10,6 +10,8 @@ from rankagg import (
     gen_sigmoid_pair,
     resample_to_skew,
 )
+from rankagg.cli import _solve_rho_for_pi2
+from rankagg.synthgen import _sigmoid
 
 
 def test_generation_is_deterministic_per_seed():
@@ -97,3 +99,41 @@ def test_resample_to_skew_preconditions():
     ones = type(data.labels)(np.ones_like(data.labels.labels))
     with pytest.raises(DegenerateLabel):
         resample_to_skew(data.instances, ones, 0, 0.5, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_matches_expit():
+    from scipy.special import expit
+
+    z = np.concatenate([np.linspace(-800.0, 800.0, 400_001), [0.0, -0.0, np.inf, -np.inf]])
+    got, ref = _sigmoid(z), expit(z)
+    tiny = np.finfo(float).tiny
+    normal = ref >= tiny
+    assert normal.sum() > 300_000
+    np.testing.assert_array_less(np.abs(got[normal] - ref[normal]), 1e-15 * ref[normal])
+    np.testing.assert_array_less(got[~normal], tiny)
+    assert _sigmoid(np.array([0.0, np.inf, -np.inf])).tolist() == [0.5, 1.0, 0.0]
+
+
+def _bisect_rho(feats, tau, target, sigmoid):
+    """All 200 steps of the plain bisection, one fresh sigmoid array per step."""
+    lo, hi = -50.0, 50.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(sigmoid(tau * (feats[:, 1] - mid)).mean()) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_rho_bisection_matches_plain_and_scipy_references():
+    from scipy.special import expit
+
+    for seed in range(4):
+        for tau in (0.5, 1.0, 5.0, 20.0, 200.0):
+            feats = gen_sigmoid_pair(SigmoidSynthConfig(2000, tau, 0.0, seed)).instances.features
+            for target in (0.1, 0.3, 0.5, 0.6, 0.8, 0.9, 0.95):
+                rho = _solve_rho_for_pi2(feats, tau, target)
+                assert rho == _bisect_rho(feats, tau, target, _sigmoid)
+                assert abs(rho - _bisect_rho(feats, tau, target, expit)) <= 1e-15
