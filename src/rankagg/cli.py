@@ -1,20 +1,19 @@
 """Command-line experiment harness.
 
 Subcommands: skew-sweep, train, oracle, bound. Exit codes: 0 success,
-2 flag errors, 3 data errors, 4 enumeration budget errors. Flags override
-values from an optional key=value --config file, which overrides builtin
-defaults. RANKAGG_THREADS caps the worker pool that runs independent train
-trials; each trial is single-threaded for determinism and rows are sorted
-before writing. Sweep and bound points run one after another.
+2 flag errors (a count below 1 among them), 3 data or config errors, 4
+enumeration budget errors. Every option but --out, --data, --config,
+--no-plot and --plot-out is also a key (snake_case or kebab-case) of an
+optional key=value --config file; flags override config values, which
+override builtin defaults. Sweep points, train trials and bound points run
+one after another.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,28 +49,60 @@ _EXIT_DATA = 3
 _EXIT_BUDGET = 4
 
 
-def _pool_size() -> int:
-    raw = os.environ.get("RANKAGG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_points(fn, points):
-    workers = _pool_size()
-    if workers == 1 or len(points) <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a count of at least 1, got {value}")
+    return value
+
+
+def _count_list(text: str) -> list[int]:
+    return [_count(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+_SEED = (int, 0, "random seed")
+
+# subcommand -> option -> (parse, default, help). Each entry is both a
+# --flag and a config key, spelled snake_case or kebab-case.
+_OPTIONS = {
+    "skew-sweep": {
+        "seed": _SEED,
+        "tau": (_float_list, (1.0, 5.0), "comma list of sigmoid scales"),
+        "rho": (_float_list, None, "comma list of label-2 shifts"),
+        # default (0.5, ..., 0.95) only when --rho is unset too; see cmd_skew_sweep
+        "pi2": (_float_list, None, "comma list of target label-2 positive rates"),
+        "n": (_count, 100_000, "evaluation sample size"),
+    },
+    "train": {
+        "seed": _SEED,
+        "labels": (str, "y0,y1", "comma list of label column names (default y0,y1)"),
+        "objective": (str, "labelagg:absdiff", "label1 | label2 | lossagg:a1,a2 | labelagg:uniform | labelagg:absdiff"),
+        "surrogate": (str, "logistic", "logistic | hinge"),
+        "model": (str, "linear", "linear | mlp:h1,h2,..."),
+        "epochs": (_count, 100, None),
+        "lr": (float, 0.01, None),
+        "resample_pi": (str, None, "k:pi, reskew label column k to rate pi per trial"),
+        "trials": (_count, 1, None),
+        "pair_budget": (_count, 250_000, None),
+    },
+    "oracle": {
+        "seed": _SEED,
+        "n": (_count, 25, "dataset size"),
+        "P": (int, 3, "top score level for the hypothesis grid"),
+        "weights_grid": (_count, 5, "weights range over {1..max}^2"),
+        "budget": (int, DEFAULT_BUDGET, "max hypotheses to enumerate"),
+    },
+    "bound": {
+        "seed": _SEED,
+        "K": (_count_list, (2, 4, 8, 16), "comma list of label counts"),
+        "n": (_count, 5, f"instance count (<= {MAX_EXHAUSTIVE_N})"),
+        "c": (float, 0.2, "probabilities drawn uniform in [c, 1-c]"),
+    },
+}
 
 
 def _load_config(path) -> dict[str, str]:
@@ -87,13 +118,13 @@ def _load_config(path) -> dict[str, str]:
     return values
 
 
-def _merge(args: argparse.Namespace, spec: dict) -> argparse.Namespace:
+def _merge(args: argparse.Namespace, options: dict) -> argparse.Namespace:
     """Fill None flags from the config file, then from builtin defaults."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(config) - {name for key in spec for name in (key, key.replace("_", "-"))})
+    config = _load_config(args.config) if args.config else {}
+    unknown = sorted(set(config) - {name for key in options for name in (key, key.replace("_", "-"))})
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys {', '.join(unknown)}")
-    for key, (parse, default) in spec.items():
+    for key, (parse, default, _) in options.items():
         if getattr(args, key) is None:
             raw = config.get(key.replace("_", "-"), config.get(key))
             setattr(args, key, parse(raw) if raw is not None else default)
@@ -141,8 +172,7 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
 _SWEEP_SCORERS = {"labelagg": label_agg_bayes_scorer_sum, "lossagg": loss_agg_bayes_scorer}
 
 
-def _sweep_point(task):
-    tau, rho, pi2_target, n, seed = task
+def _sweep_point(tau, rho, pi2_target, n, seed):
     data = gen_sigmoid_pair(SigmoidSynthConfig(n=n, tau=tau, rho=rho, seed=seed))
     pi2_emp = float(data.labels.labels[:, 1].mean())
     rows = []
@@ -171,16 +201,6 @@ def _sweep_point(task):
 
 
 def cmd_skew_sweep(args) -> int:
-    _merge(
-        args,
-        {
-            "tau": (_float_list, [1.0, 5.0]),
-            "rho": (_float_list, None),
-            "pi2": (_float_list, None),
-            "n": (int, 100_000),
-            "seed": (int, 0),
-        },
-    )
     if args.rho is None and args.pi2 is None:
         args.pi2 = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
     if args.rho is not None and args.pi2 is not None:
@@ -192,17 +212,15 @@ def cmd_skew_sweep(args) -> int:
         if bad:
             print(f"{', '.join(bad)}: targets need 0 < pi2 < 1 and a finite tau > 0", file=sys.stderr)
             return _EXIT_FLAGS
-    tasks = []
+    rows = []
     for tau in args.tau:
         if args.rho is not None:
-            for rho in args.rho:
-                tasks.append((tau, rho, None, args.n, args.seed))
+            points = [(rho, None) for rho in args.rho]
         else:
             feats = gen_sigmoid_pair(SigmoidSynthConfig(args.n, tau, 0.0, args.seed)).instances.features
-            for target in args.pi2:
-                rho = _solve_rho_for_pi2(feats, tau, target)
-                tasks.append((tau, rho, target, args.n, args.seed))
-    rows = [row for task in tasks for row in _sweep_point(task)]
+            points = [(_solve_rho_for_pi2(feats, tau, target), target) for target in args.pi2]
+        for rho, target in points:
+            rows += _sweep_point(tau, rho, target, args.n, args.seed)
     rows.sort(key=lambda r: (r[1], r[4], r[5]))
     header = [
         "experiment",
@@ -255,26 +273,11 @@ def _parse_model(text: str) -> tuple:
     if text == "linear":
         return ()
     if text.startswith("mlp:"):
-        return tuple(_int_list(text.split(":", 1)[1]))
+        return tuple(_count_list(text.split(":", 1)[1]))
     raise ValueError(f"unknown model {text!r}")
 
 
 def cmd_train(args) -> int:
-    _merge(
-        args,
-        {
-            "labels": (str, "y0,y1"),
-            "objective": (str, "labelagg:absdiff"),
-            "surrogate": (str, "logistic"),
-            "model": (str, "linear"),
-            "epochs": (int, 100),
-            "lr": (float, 0.01),
-            "seed": (int, 0),
-            "resample_pi": (str, None),
-            "trials": (int, 1),
-            "pair_budget": (int, 250_000),
-        },
-    )
     instances, all_labels = dataio.read_dataset(args.data)
     col_names = [name.strip() for name in args.labels.split(",")]
     available = [f"y{k}" for k in range(all_labels.K)]
@@ -292,8 +295,11 @@ def cmd_train(args) -> int:
     if args.resample_pi:
         k_text, _, pi_text = args.resample_pi.partition(":")
         resample = (int(k_text), float(pi_text))
+        if not 0 <= resample[0] < labels.K:
+            raise ValueError(f"--resample-pi label index {resample[0]} is not in 0..{labels.K - 1}")
 
-    def run_trial(trial: int) -> list:
+    rows = []
+    for trial in range(args.trials):
         start = time.perf_counter()
         trial_seed = args.seed + trial
         inst, labs = instances, labels
@@ -311,20 +317,19 @@ def cmd_train(args) -> int:
         scorer, trace = train(inst, labs, config, eval_instances=instances, eval_labels=labels)
         report = trace[-1]["eval"]
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return [
-            "train",
-            trial,
-            args.objective,
-            *[float(v) for v in report.per_label],
-            report.diff if report.diff is not None else "",
-            report.min,
-            trace[-1]["loss"],
-            elapsed_ms,
-            trial_seed,
-        ]
-
-    rows = _run_points(run_trial, list(range(args.trials)))
-    rows.sort(key=lambda r: r[1])
+        rows.append(
+            [
+                "train",
+                trial,
+                args.objective,
+                *[float(v) for v in report.per_label],
+                report.diff if report.diff is not None else "",
+                report.min,
+                trace[-1]["loss"],
+                elapsed_ms,
+                trial_seed,
+            ]
+        )
     aucs = np.array([row[3 : 3 + labels.K] for row in rows], dtype=float)
     diffs = np.array([row[3 + labels.K] for row in rows], dtype=float) if labels.K == 2 else None
     mins = np.array([row[4 + labels.K] for row in rows], dtype=float)
@@ -365,16 +370,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _merge(
-        args,
-        {
-            "n": (int, 25),
-            "P": (int, 3),
-            "seed": (int, 0),
-            "weights_grid": (int, 5),
-            "budget": (int, DEFAULT_BUDGET),
-        },
-    )
     data = gen_gaussian_bilevel(args.n, args.seed)
     sets = maximizer_sets(data.labels, P=args.P, weight_grid_max=args.weights_grid, budget=args.budget)
     grid = args.weights_grid
@@ -447,15 +442,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    _merge(
-        args,
-        {
-            "K": (_int_list, [2, 4, 8, 16]),
-            "n": (int, 5),
-            "c": (float, 0.2),
-            "seed": (int, 0),
-        },
-    )
     if args.n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"{args.n} instances exceed the exhaustive limit {MAX_EXHAUSTIVE_N}")
 
@@ -494,54 +480,23 @@ def cmd_bound(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rankagg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    commands = {
+        "skew-sweep": (cmd_skew_sweep, "per-label AUC difference vs label skew"),
+        "train": (cmd_train, "train a scorer on a CSV dataset"),
+        "oracle": (cmd_oracle, "exhaustive maximizer-set comparison"),
+        "bound": (cmd_bound, "optimality-gap bound vs K"),
+    }
+    for name, (fn, text) in commands.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--out", required=True, help="output CSV path")
+        if name == "train":
+            p.add_argument("--data", required=True, help="dataset CSV (f0..,y0.. schema)")
         p.add_argument("--config", help="key=value config file; flags take precedence")
-        p.add_argument("--seed", type=int)
         p.add_argument("--no-plot", action="store_true")
         p.add_argument("--plot-out", help="SVG path (default: out path with .svg)")
-
-    p = sub.add_parser("skew-sweep", help="per-label AUC difference vs label skew")
-    common(p)
-    p.add_argument("--tau", type=_float_list, help="comma list of sigmoid scales")
-    p.add_argument("--rho", type=_float_list, help="comma list of label-2 shifts")
-    p.add_argument("--pi2", type=_float_list, help="comma list of target label-2 positive rates")
-    p.add_argument("--n", type=int, help="evaluation sample size")
-    p.set_defaults(fn=cmd_skew_sweep)
-
-    p = sub.add_parser("train", help="train a scorer on a CSV dataset")
-    common(p)
-    p.add_argument("--data", required=True, help="dataset CSV (f0..,y0.. schema)")
-    p.add_argument("--labels", help="comma list of label column names (default y0,y1)")
-    p.add_argument(
-        "--objective",
-        help="label1 | label2 | lossagg:a1,a2 | labelagg:uniform | labelagg:absdiff",
-    )
-    p.add_argument("--surrogate", help="logistic | hinge")
-    p.add_argument("--model", help="linear | mlp:h1,h2,...")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--resample-pi", help="k:pi, reskew label column k to rate pi per trial")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--pair-budget", type=int)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("oracle", help="exhaustive maximizer-set comparison")
-    common(p)
-    p.add_argument("--n", type=int, help="dataset size")
-    p.add_argument("--P", type=int, help="top score level for the hypothesis grid")
-    p.add_argument("--weights-grid", type=int, help="weights range over {1..max}^2")
-    p.add_argument("--budget", type=int, help="max hypotheses to enumerate")
-    p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("bound", help="optimality-gap bound vs K")
-    common(p)
-    p.add_argument("--K", type=_int_list, help="comma list of label counts")
-    p.add_argument("--n", type=int, help=f"instance count (<= {MAX_EXHAUSTIVE_N})")
-    p.add_argument("--c", type=float, help="probabilities drawn uniform in [c, 1-c]")
-    p.set_defaults(fn=cmd_bound)
-
+        for key, (parse, _, option_help) in _OPTIONS[name].items():
+            p.add_argument("--" + key.replace("_", "-"), type=parse, help=option_help)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -552,7 +507,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else _EXIT_FLAGS
     try:
-        return args.fn(args)
+        return args.fn(_merge(args, _OPTIONS[args.command]))
     except (BudgetExceeded, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET

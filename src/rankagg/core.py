@@ -101,11 +101,13 @@ class SampledLabels:
     labels: np.ndarray
 
     def __post_init__(self):
-        lab = _frozen_array(self.labels, dtype=np.int64, ndim=2)
+        # check before the int64 cast, which would truncate 0.7 to 0
+        raw = np.asarray(self.labels)
+        if not ((raw == 0) | (raw == 1)).all():
+            raise ValueError("labels must be 0/1")
+        lab = _frozen_array(raw, dtype=np.int64, ndim=2)
         if lab.shape[1] < 1:
             raise ValueError("need at least one label column")
-        if not ((lab == 0) | (lab == 1)).all():
-            raise ValueError("labels must be 0/1")
         object.__setattr__(self, "labels", lab)
 
     @property

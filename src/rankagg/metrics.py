@@ -202,13 +202,15 @@ def pareto_dominates(g_aucs, f_aucs) -> bool:
 
 def pareto_front(candidates) -> list[int]:
     """Indices of candidates not dominated by any other (duplicates retained)."""
-    vecs = [np.asarray(c, dtype=float) for c in candidates]
-    if not vecs:
+    vecs = np.asarray(candidates, dtype=float)
+    if len(vecs) == 0:
         raise ValueError("need at least one candidate")
+    vecs = vecs.reshape(len(vecs), -1)
+    # a duplicate of v is >= v everywhere but > nowhere, so it never dominates v
     return [
         i
         for i, v in enumerate(vecs)
-        if not any(pareto_dominates(w, v) for j, w in enumerate(vecs) if j != i)
+        if not ((vecs >= v).all(axis=1) & (vecs > v).any(axis=1)).any()
     ]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import SampledLabels, Scorer, TableScorer
 from .errors import BudgetExceeded, DegenerateLabel, TooLarge
-from .metrics import h_matrix, population_pair_weights
+from .metrics import h_matrix, pareto_front, population_pair_weights
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -322,17 +322,13 @@ def auc_scatter(scan: OracleScan) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     """Unique per-label AUC pairs with multiplicities and a frontier flag.
 
     Returns (auc_1, auc_2, count, on_front); the front is computed over
-    the unique integer count pairs, exactly.
+    the unique integer count pairs, exactly (they are far below 2^53, so
+    pareto_front's float64 copy holds them exactly).
     """
     pairs = np.stack([scan.count_1, scan.count_2], axis=1)
     uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    on_front = np.ones(uniq.shape[0], dtype=bool)
-    for i, (c1, c2) in enumerate(uniq):
-        dominated = (
-            ((uniq[:, 0] >= c1) & (uniq[:, 1] >= c2))
-            & ((uniq[:, 0] > c1) | (uniq[:, 1] > c2))
-        ).any()
-        on_front[i] = not dominated
+    on_front = np.zeros(uniq.shape[0], dtype=bool)
+    on_front[pareto_front(uniq)] = True
     auc_1 = uniq[:, 0] / (2.0 * scan.denom_1)
     auc_2 = uniq[:, 1] / (2.0 * scan.denom_2)
     return auc_1, auc_2, counts, on_front

@@ -2,7 +2,6 @@ import csv
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -251,39 +250,74 @@ def test_bound_reaches_hundreds_of_labels(tmp_path):
     assert all(0.0 <= float(row[2]) <= float(row[3]) + 1e-12 for row in rows)
 
 
-def test_worker_pool_does_not_change_results(dataset_csv, tmp_path, monkeypatch):
-    pools = []
-
-    def recording_pool(**kwargs):
-        pools.append(kwargs)
-        return ThreadPoolExecutor(**kwargs)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+def test_train_trials_rerun_byte_identical(dataset_csv, tmp_path):
     # lossagg:1,2 is written quoted, so it also checks the CSV parsing
     for objective in ("labelagg:uniform", "lossagg:1,2"):
         args = [
             "train", "--data", str(dataset_csv), "--objective", objective,
             "--epochs", "5", "--trials", "3", "--resample-pi", "0:0.7", "--no-plot",
         ]
-        monkeypatch.delenv("RANKAGG_THREADS", raising=False)
-        assert main(args + ["--out", str(tmp_path / "serial.csv")]) == 0
-        monkeypatch.setenv("RANKAGG_THREADS", "4")
-        assert main(args + ["--out", str(tmp_path / "pooled.csv")]) == 0
-        serial = _stable_bytes(tmp_path / "serial.csv")
-        assert serial == _stable_bytes(tmp_path / "pooled.csv")
-        assert serial[1][2] == objective
-    assert pools == [{"max_workers": 4}] * 2
+        assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
+        first = _stable_bytes(tmp_path / "a.csv")
+        assert first == _stable_bytes(tmp_path / "b.csv")
+        assert [row[1] for row in first[1:]] == ["0", "1", "2", "mean", "stderr"]
+        assert all(row[2] == objective for row in first[1:])
 
 
-def test_sweep_and_bound_start_no_worker_pool(tmp_path, monkeypatch):
-    def no_pool(**kwargs):
-        raise AssertionError("started a worker pool")
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, monkeypatch):
+    resolved = []
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("RANKAGG_THREADS", "4")
-    sweep = ["skew-sweep", "--tau", "2.0", "--pi2", "0.5,0.6,0.7", "--n", "300", "--no-plot"]
-    assert main(sweep + ["--out", str(tmp_path / "sweep.csv")]) == 0
-    assert main(["bound", "--K", "2,4,8", "--n", "4", "--no-plot", "--out", str(tmp_path / "bound.csv")]) == 0
+    def record(args):
+        resolved.append({k: v for k, v in vars(args).items() if k not in ("config", "fn")})
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), record)
+    # a distinct value per option catches crossed keys; "11", "12", ... parse under every
+    # option type and differ from every default
+    values = {key: str(11 + i) for i, key in enumerate(cli._OPTIONS[command])}
+    base = [command, "--out", str(tmp_path / "o.csv"), "--no-plot"]
+    if command == "train":
+        base += ["--data", str(tmp_path / "d.csv")]
+    flags = [tok for key, text in values.items() for tok in ("--" + key.replace("_", "-"), text)]
+    assert main(base + flags) == 0
+    for spell in (lambda key: key, lambda key: key.replace("_", "-")):
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{spell(key)}={text}\n" for key, text in values.items()))
+        assert main(base + ["--config", str(config)]) == 0
+    assert len(resolved) == 3 and resolved[0] == resolved[1] == resolved[2]
+    for key, (parse, default, _) in cli._OPTIONS[command].items():
+        assert resolved[0][key] == parse(values[key]) != default
+
+
+@pytest.mark.parametrize(
+    "command, flags, code",
+    [
+        ("train", ["--trials", "0"], 2),
+        ("oracle", ["--weights-grid", "0"], 2),
+        ("oracle", ["--weights-grid", "-3"], 2),
+        ("train", ["--model", "mlp:0"], 3),
+        ("train", ["--resample-pi", "5:0.8"], 3),
+        ("train", ["--resample-pi=-1:0.8"], 3),
+    ],
+)
+def test_bad_counts_and_label_indices_exit_with_codes(command, flags, code, dataset_csv, tmp_path):
+    out = tmp_path / "o.csv"
+    data = ["--data", str(dataset_csv)] if command == "train" else []
+    assert main([command, "--out", str(out), "--no-plot", *data, *flags]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [("train", "trials=0"), ("oracle", "weights-grid=-3")])
+def test_count_below_one_in_config_exits_3(command, line, dataset_csv, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "o.csv"
+    data = ["--data", str(dataset_csv)] if command == "train" else []
+    assert main([command, "--out", str(out), "--config", str(config), *data]) == 3
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _scipy_modules_after(statements):

@@ -45,7 +45,7 @@ def test_arrays_are_frozen():
 
 
 def test_sampled_labels_reject_nonbinary():
-    for bad in ([[0, 2]], [[1, -1]]):
+    for bad in ([[0, 2]], [[1, -1]], [[0.7, 1.0]]):
         with pytest.raises(ValueError):
             SampledLabels(np.array(bad))
 
