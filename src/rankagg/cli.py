@@ -35,9 +35,9 @@ from .oracle import DEFAULT_BUDGET, MAX_EXHAUSTIVE_N, auc_scatter, index_equal, 
 from .bound import evaluate_bound
 from .surrogate import Hinge, Logistic, TrainConfig, train
 from .synthgen import (
-    SigmoidSynthConfig,
+    _sigmoid_draws,
+    _sigmoid_pair_from_draws,
     gen_gaussian_bilevel,
-    gen_sigmoid_pair,
     resample_to_skew,
 )
 
@@ -125,9 +125,16 @@ def _merge(args: argparse.Namespace, options: dict) -> argparse.Namespace:
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys {', '.join(unknown)}")
     for key, (parse, default, _) in options.items():
-        if getattr(args, key) is None:
-            raw = config.get(key.replace("_", "-"), config.get(key))
-            setattr(args, key, parse(raw) if raw is not None else default)
+        if getattr(args, key) is not None:
+            continue
+        name = next((name for name in (key.replace("_", "-"), key) if name in config), None)
+        if name is None:
+            setattr(args, key, default)
+            continue
+        try:
+            setattr(args, key, parse(config[name]))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {name}={config[name]}: {exc}") from None
     return args
 
 
@@ -138,29 +145,76 @@ def _plot_path(args) -> Path:
 # ---------------------------------------------------------------- skew-sweep
 
 
+def _mean_sigmoid(rho: float, x: np.ndarray, tau: float, buf: np.ndarray) -> float:
+    """mean sigmoid(tau * (x - rho)), leaving the sigmoids in buf.
+
+    It evaluates 1 / (1 + exp(tau * (rho - x))) in place; tau * (rho - x) is
+    exactly -(tau * (x - rho)), so the mean is bit for bit that of
+    synthgen._sigmoid(tau * (x - rho)).
+    """
+    np.subtract(rho, x, out=buf)
+    buf *= tau
+    np.exp(buf, out=buf)
+    buf += 1.0
+    np.divide(1.0, buf, out=buf)
+    return float(buf.mean())
+
+
+# The replay's clearance margin, far above the rounding error of the mean.
+_CLEARANCE = 1e-12
+
+
 def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
     """Invert mean sigmoid(tau * (x2 - rho)) = target by bisection (decreasing in rho).
 
-    Each step is a function of (lo, hi) alone, so once a step leaves the
-    bracket unchanged every later one would too; stopping there returns the
-    same value the full 200 steps would. Each step evaluates
-    1 / (1 + exp(tau * (mid - x2))) in one buffer; tau * (mid - x2) is
-    exactly -(tau * (x2 - mid)), so the mean is bit for bit that of
-    synthgen._sigmoid(tau * (x2 - mid)).
+    The result is that of the plain bisection on [-50, 50], bit for bit: its
+    steps are replayed, but most are decided without evaluating.
+
+    1. A few safeguarded Newton steps, slope -tau * mean(s (1 - s)), find an
+       approximate root r.
+    2. With delta = 1e-10 * max(1, |r|), a = r - delta is a known lower
+       bound if its computed mean exceeds target + M, and b = r + delta a
+       known upper bound if its computed mean is below target - M
+       (M = _CLEARANCE = 1e-12). A side that does not clear stays unknown.
+    3. The bisection is replayed: a step with mid <= a goes up and one with
+       mid >= b goes down without evaluating; every other step evaluates as
+       the plain bisection does.
+
+    Why a decided step goes the way the plain one would: let F(rho) be the
+    exact mean of the exact sigmoids at the float data, non-increasing in
+    rho, and e a bound on |computed - F| at any rho. Each term is in [0, 1]
+    and its four roundings (rho - x, the product by tau, 1 + exp, the
+    division; exp within a few ulp) move it by a few units of 2^-53, because
+    s (1 - s) |z| <= 0.23 damps the argument's rounding. numpy's pairwise
+    sum of n terms adds a relative error of about (log2(n) + 16) * 2^-53.
+    So e < 1e-14 even at n = 10^9, and M > 2e. For mid <= a, computed(mid)
+    >= F(mid) - e >= F(a) - e >= computed(a) - 2e > target, the plain
+    step's decision; mid >= b is symmetric. The fixed-point stop is kept:
+    each step is a function of (lo, hi) alone, so once one leaves the
+    bracket unchanged every later one would too.
     """
     x = np.ascontiguousarray(feats[:, 1])
     buf = np.empty_like(x)
-    lo, hi = -50.0, 50.0
     with np.errstate(over="ignore"):
+        lo, hi, r = -50.0, 50.0, 0.0
+        for _ in range(16):
+            value = _mean_sigmoid(r, x, tau, buf)
+            lo, hi = (r, hi) if value > target else (lo, r)
+            slope = -tau * float(np.dot(buf, 1.0 - buf)) / x.size
+            step = r - (value - target) / slope if slope < 0.0 else np.nan
+            if abs(step - r) <= 1e-12 * max(1.0, abs(r)):
+                r = step
+                break
+            r = step if lo < step < hi else 0.5 * (lo + hi)
+        delta = 1e-10 * max(1.0, abs(r))
+        a = r - delta if _mean_sigmoid(r - delta, x, tau, buf) > target + _CLEARANCE else -np.inf
+        b = r + delta if _mean_sigmoid(r + delta, x, tau, buf) < target - _CLEARANCE else np.inf
+
+        lo, hi = -50.0, 50.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            np.subtract(mid, x, out=buf)
-            buf *= tau
-            np.exp(buf, out=buf)
-            buf += 1.0
-            np.divide(1.0, buf, out=buf)
-            value = float(buf.mean())
-            bracket = (mid, hi) if value > target else (lo, mid)
+            above = mid <= a or (mid < b and _mean_sigmoid(mid, x, tau, buf) > target)
+            bracket = (mid, hi) if above else (lo, mid)
             if bracket == (lo, hi):
                 break
             lo, hi = bracket
@@ -172,8 +226,7 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
 _SWEEP_SCORERS = {"labelagg": label_agg_bayes_scorer_sum, "lossagg": loss_agg_bayes_scorer}
 
 
-def _sweep_point(tau, rho, pi2_target, n, seed):
-    data = gen_sigmoid_pair(SigmoidSynthConfig(n=n, tau=tau, rho=rho, seed=seed))
+def _sweep_point(data, tau, rho, pi2_target, seed):
     pi2_emp = float(data.labels.labels[:, 1].mean())
     rows = []
     for method, build_scorer in _SWEEP_SCORERS.items():
@@ -212,15 +265,16 @@ def cmd_skew_sweep(args) -> int:
         if bad:
             print(f"{', '.join(bad)}: targets need 0 < pi2 < 1 and a finite tau > 0", file=sys.stderr)
             return _EXIT_FLAGS
+    feats, uniforms = _sigmoid_draws(args.n, args.seed)
     rows = []
     for tau in args.tau:
         if args.rho is not None:
             points = [(rho, None) for rho in args.rho]
         else:
-            feats = gen_sigmoid_pair(SigmoidSynthConfig(args.n, tau, 0.0, args.seed)).instances.features
             points = [(_solve_rho_for_pi2(feats, tau, target), target) for target in args.pi2]
         for rho, target in points:
-            rows += _sweep_point(tau, rho, target, args.n, args.seed)
+            data = _sigmoid_pair_from_draws(feats, uniforms, tau, rho)
+            rows += _sweep_point(data, tau, rho, target, args.seed)
     rows.sort(key=lambda r: (r[1], r[4], r[5]))
     header = [
         "experiment",
@@ -273,7 +327,10 @@ def _parse_model(text: str) -> tuple:
     if text == "linear":
         return ()
     if text.startswith("mlp:"):
-        return tuple(_count_list(text.split(":", 1)[1]))
+        widths = tuple(_count_list(text.split(":", 1)[1]))
+        if not widths:
+            raise ValueError(f"model {text!r} lists no hidden widths")
+        return widths
     raise ValueError(f"unknown model {text!r}")
 
 

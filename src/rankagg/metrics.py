@@ -69,27 +69,32 @@ def _scores_array(scores) -> np.ndarray:
 
 
 def _pair_sums(scores, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted pair counts for each weight column l of u and v (both n x L).
+    """Weighted pair counts for each weight row l of u and v (both L x n).
 
-    Returns (sums, pairs): sums[l] = sum_ij u[i, l] v[j, l] H(s_i - s_j)
-    over all ordered pairs, and pairs[l] = sum_i u[i, l] * sum_j v[j, l].
+    Returns (sums, pairs): sums[l] = sum_ij u[l, i] v[l, j] H(s_i - s_j)
+    over all ordered pairs, and pairs[l] = sum_i u[l, i] * sum_j v[l, j].
     One sort groups exact ties; per group, U_g . (V strictly below + V_g / 2)
     is the weighted Mann-Whitney count. Pairs i = j count 1/2, so callers
     with i != j conventions pass weights that vanish on the diagonal.
+    Any memory layout gives the same bits; C-contiguous rows gather fastest.
     """
     s = _scores_array(scores)
-    if s.shape[0] != u.shape[0]:
-        raise ValueError(f"{s.shape[0]} scores for {u.shape[0]} instances")
+    if s.shape[0] != u.shape[1]:
+        raise ValueError(f"{s.shape[0]} scores for {u.shape[1]} instances")
     if s.shape[0] == 0:
         raise DegenerateLabel("no instances to rank")
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
     order = np.argsort(s)
     ranked = s[order]
-    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    # one row per column, so every reduction runs over contiguous memory
-    u_groups = np.add.reduceat(np.take(u.T, order, axis=1), starts, axis=1)
-    v_groups = np.add.reduceat(np.take(v.T, order, axis=1), starts, axis=1)
+    u_groups = np.take(u, order, axis=1)
+    v_groups = np.take(v, order, axis=1)
+    new_value = ranked[1:] != ranked[:-1]
+    if not new_value.all():
+        # sum each run of tied scores into one column; without ties every run is one column
+        starts = np.flatnonzero(np.concatenate(([True], new_value)))
+        u_groups = np.add.reduceat(u_groups, starts, axis=1)
+        v_groups = np.add.reduceat(v_groups, starts, axis=1)
     cumulative = np.cumsum(v_groups, axis=1)
     below = np.concatenate((np.zeros_like(cumulative[:, :1]), cumulative[:, :-1]), axis=1)
     sums = (u_groups * (below + 0.5 * v_groups)).sum(axis=1)
@@ -97,7 +102,7 @@ def _pair_sums(scores, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _bipartite_aucs(scores, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Per-column AUCs for positive and negative weight columns (n x K)."""
+    """Per-row AUCs for positive and negative weight rows (K x n)."""
     sums, pairs = _pair_sums(scores, pos, neg)
     bad = np.flatnonzero(pairs == 0.0)
     if bad.size:
@@ -107,13 +112,13 @@ def _bipartite_aucs(scores, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
 
 def bipartite_auc_empirical(scores, labels) -> float:
     """Fraction of (positive, negative) pairs ranked correctly, ties half."""
-    y = np.asarray(labels)[:, None]
+    y = np.asarray(labels)[None, :]
     return float(_bipartite_aucs(scores, (y == 1).astype(float), (y == 0).astype(float))[0])
 
 
 def bipartite_auc_population(scores, eta_column) -> float:
     """Pairwise-weight AUC under per-instance positive probabilities."""
-    eta = np.asarray(eta_column, dtype=float)[:, None]
+    eta = np.asarray(eta_column, dtype=float)[None, :]
     return float(_bipartite_aucs(scores, eta, 1.0 - eta)[0])
 
 
@@ -127,7 +132,8 @@ def _cost_lower(probs: np.ndarray, costs: CostMatrix) -> np.ndarray:
 
 def _multipartite(scores, probs: np.ndarray, costs: CostMatrix) -> float:
     """Cost-weighted pair accuracy for per-level weights probs (n x levels)."""
-    sums, pairs = _pair_sums(scores, probs, _cost_lower(probs, costs))
+    lower = _cost_lower(probs, costs)
+    sums, pairs = _pair_sums(scores, np.ascontiguousarray(probs.T), np.ascontiguousarray(lower.T))
     total = pairs.sum()
     if total == 0.0:
         raise DegenerateLabel("no discordant pair carries positive cost")
@@ -146,10 +152,12 @@ def multipartite_auc_population(scores, dist: AggregateDistribution, costs: Cost
 
 def _per_label_auc(scores, model) -> np.ndarray:
     if isinstance(model, SampledLabels):
-        lab = model.labels
-        return _bipartite_aucs(scores, (lab == 1).astype(float), (lab == 0).astype(float))
+        lab = model.labels.T
+        pos = np.equal(lab, 1, out=np.empty(lab.shape))  # labels are 0/1, so 1 - pos marks label 0
+        return _bipartite_aucs(scores, pos, 1.0 - pos)
     if isinstance(model, EtaTable):
-        return _bipartite_aucs(scores, model.eta, 1.0 - model.eta)
+        eta = np.ascontiguousarray(model.eta.T)
+        return _bipartite_aucs(scores, eta, 1.0 - eta)
     if isinstance(model, JointLabelModel):
         return _per_label_auc(scores, model.marginal_eta())
     raise TypeError(f"unsupported label model {model!r}")

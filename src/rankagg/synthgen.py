@@ -67,23 +67,27 @@ def _sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _sample_labels(eta: np.ndarray, rng: np.random.Generator) -> SampledLabels:
-    return SampledLabels((rng.random(eta.shape) < eta).astype(np.int64))
+def _sample_labels(eta: np.ndarray, uniforms: np.ndarray) -> SampledLabels:
+    return SampledLabels((uniforms < eta).astype(np.int64))
+
+
+def _sigmoid_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The features and label uniforms of gen_sigmoid_pair, which depend on (n, seed) alone."""
+    feats = _rng(seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (n, 2))
+    return feats, _rng(seed, _STREAM_LABELS).random((n, 2))
+
+
+def _sigmoid_pair_from_draws(feats: np.ndarray, uniforms: np.ndarray, tau: float, rho: float) -> SynthData:
+    """gen_sigmoid_pair's eta table and labels at (tau, rho) for already drawn inputs."""
+    eta = np.column_stack([_sigmoid(tau * (feats @ _W1)), _sigmoid(tau * (feats @ _W2 - rho))])
+    return SynthData(InstanceSet(feats), EtaTable(eta), _sample_labels(eta, uniforms))
 
 
 def gen_sigmoid_pair(config: SigmoidSynthConfig) -> SynthData:
     """Two-label logistic model: eta1 = s(tau w1.x), eta2 = s(tau (w2.x - rho))."""
     if config.n < 1:
         raise ValueError("need n >= 1")
-    feats = _rng(config.seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (config.n, 2))
-    eta = np.column_stack(
-        [
-            _sigmoid(config.tau * (feats @ _W1)),
-            _sigmoid(config.tau * (feats @ _W2 - config.rho)),
-        ]
-    )
-    labels = _sample_labels(eta, _rng(config.seed, _STREAM_LABELS))
-    return SynthData(InstanceSet(feats), EtaTable(eta), labels)
+    return _sigmoid_pair_from_draws(*_sigmoid_draws(config.n, config.seed), config.tau, config.rho)
 
 
 def gen_gaussian_bilevel(n: int, seed: int) -> SynthData:
@@ -108,7 +112,7 @@ def gen_d3_training_pair(n: int, seed: int, tau: float) -> SynthData:
     w = _rng(seed, _STREAM_WEIGHTS).uniform(-1.0, 1.0, (2, 2))
     feats = _rng(seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (n, 2))
     eta = _sigmoid(tau * (feats @ w.T))
-    labels = _sample_labels(eta, _rng(seed, _STREAM_LABELS))
+    labels = _sample_labels(eta, _rng(seed, _STREAM_LABELS).random(eta.shape))
     return SynthData(InstanceSet(feats), EtaTable(eta), labels)
 
 
@@ -131,7 +135,7 @@ def gen_conflicting_pair(
     eta = np.column_stack(
         [_sigmoid(tau_strong * feats[:, 0]), _sigmoid(tau_weak * feats[:, 1])]
     )
-    labels = _sample_labels(eta, _rng(seed, _STREAM_LABELS))
+    labels = _sample_labels(eta, _rng(seed, _STREAM_LABELS).random(eta.shape))
     return SynthData(InstanceSet(feats), EtaTable(eta), labels)
 
 

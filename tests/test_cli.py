@@ -54,7 +54,7 @@ def test_unreachable_sweep_targets_exit_2_before_generating(tmp_path, monkeypatc
     def no_data(*args, **kwargs):
         raise AssertionError("generated data")
 
-    monkeypatch.setattr(cli, "gen_sigmoid_pair", no_data)
+    monkeypatch.setattr(cli, "_sigmoid_draws", no_data)
     out = tmp_path / "o.csv"
     assert main(["skew-sweep", "--out", str(out), "--n", "2000", "--no-plot", *flags]) == 2
     assert capsys.readouterr().err.startswith(named + ":")
@@ -300,6 +300,7 @@ def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, 
         ("train", ["--model", "mlp:0"], 3),
         ("train", ["--resample-pi", "5:0.8"], 3),
         ("train", ["--resample-pi=-1:0.8"], 3),
+        ("train", ["--model", "mlp:"], 3),
     ],
 )
 def test_bad_counts_and_label_indices_exit_with_codes(command, flags, code, dataset_csv, tmp_path):
@@ -317,6 +318,17 @@ def test_count_below_one_in_config_exits_3(command, line, dataset_csv, tmp_path,
     data = ["--data", str(dataset_csv)] if command == "train" else []
     assert main([command, "--out", str(out), "--config", str(config), *data]) == 3
     assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, named", [("bound", "n=abc", "n=abc"), ("train", "pair-budget=many", "pair-budget=many")])
+def test_bad_config_value_names_its_key(command, line, named, dataset_csv, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("seed=4\n" + line + "\n")
+    out = tmp_path / "o.csv"
+    data = ["--data", str(dataset_csv)] if command == "train" else []
+    assert main([command, "--out", str(out), "--config", str(config), *data]) == 3
+    assert f"error: {config}: {named}: invalid literal" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -124,14 +124,14 @@ def test_pair_kernel_matches_dense_h_matrix(values, seed):
     n = s.shape[0]
     rng = np.random.default_rng(seed)
     h = h_matrix(s)
-    # bipartite: label indicators and eta columns, two columns at once
-    y = rng.integers(0, 2, (n, 2)).astype(float)
-    eta = rng.uniform(0.0, 1.0, (n, 2))
+    # bipartite: label indicators and eta rows, two rows at once
+    y = rng.integers(0, 2, (2, n)).astype(float)
+    eta = rng.uniform(0.0, 1.0, (2, n))
     for pos, neg in ((y, 1.0 - y), (eta, 1.0 - eta)):
         sums, pairs = metrics._pair_sums(s, pos, neg)
         for k in range(2):
-            _close(sums[k], (np.outer(pos[:, k], neg[:, k]) * h).sum())
-            _close(pairs[k], np.outer(pos[:, k], neg[:, k]).sum())
+            _close(sums[k], (np.outer(pos[k], neg[k]) * h).sum())
+            _close(pairs[k], np.outer(pos[k], neg[k]).sum())
     # multipartite: per-level probabilities combined through the cost matrix
     probs = rng.dirichlet(np.ones(4), n)
     costs = CostMatrix(rng.uniform(0.0, 2.0, (4, 4)))
@@ -140,12 +140,31 @@ def test_pair_kernel_matches_dense_h_matrix(values, seed):
     if w.sum() > 0.0:
         _close(multipartite_auc_population(s, dist, costs), (w * h).sum() / w.sum())
     if n >= 2:
-        y[:2, 0] = (1.0, 0.0)
-        w = np.outer(y[:, 0] == 1, y[:, 0] == 0)
-        _close(bipartite_auc_empirical(s, y[:, 0]), (w * h).sum() / w.sum())
-        eta[:2, 0] = (1.0, 0.0)
-        w = np.outer(eta[:, 0], 1.0 - eta[:, 0])
-        _close(bipartite_auc_population(s, eta[:, 0]), (w * h).sum() / w.sum())
+        y[0, :2] = (1.0, 0.0)
+        w = np.outer(y[0] == 1, y[0] == 0)
+        _close(bipartite_auc_empirical(s, y[0]), (w * h).sum() / w.sum())
+        eta[0, :2] = (1.0, 0.0)
+        w = np.outer(eta[0], 1.0 - eta[0])
+        _close(bipartite_auc_population(s, eta[0]), (w * h).sum() / w.sum())
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_pair_kernel_bits_do_not_depend_on_weight_layout(ties):
+    rng = np.random.default_rng(11)
+    n = 300
+    s = rng.standard_normal(n)
+    if ties:
+        s = np.round(s, 1)
+    assert (np.unique(s).size < n) == ties
+    u = rng.uniform(0.0, 1.0, (3, n))
+    v = rng.uniform(0.0, 1.0, (3, n))
+    padded_u, padded_v = np.zeros((6, 2 * n)), np.zeros((6, 2 * n))
+    padded_u[::2, ::2], padded_v[::2, ::2] = u, v
+    sums, pairs = metrics._pair_sums(s, u, v)
+    for uu, vv in ((np.asfortranarray(u), np.asfortranarray(v)), (padded_u[::2, ::2], padded_v[::2, ::2])):
+        assert not uu.flags.c_contiguous
+        got_sums, got_pairs = metrics._pair_sums(s, uu, vv)
+        assert got_sums.tobytes() == sums.tobytes() and got_pairs.tobytes() == pairs.tobytes()
 
 
 @settings(deadline=None, max_examples=150)

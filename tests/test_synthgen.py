@@ -10,8 +10,9 @@ from rankagg import (
     gen_sigmoid_pair,
     resample_to_skew,
 )
+from rankagg import cli
 from rankagg.cli import _solve_rho_for_pi2
-from rankagg.synthgen import _sigmoid
+from rankagg.synthgen import _sigmoid, _sigmoid_draws, _sigmoid_pair_from_draws
 
 
 def test_generation_is_deterministic_per_seed():
@@ -29,6 +30,17 @@ def test_growing_n_preserves_the_earlier_prefix():
     np.testing.assert_array_equal(
         small.instances.features, big.instances.features[:20]
     )
+
+
+def test_shared_draws_reproduce_gen_sigmoid_pair_bit_for_bit():
+    feats, uniforms = _sigmoid_draws(500, 3)
+    for tau in (0.5, 5.0, 200.0):
+        for rho in (-1.3, 0.0, 0.4):
+            want = gen_sigmoid_pair(SigmoidSynthConfig(500, tau, rho, 3))
+            got = _sigmoid_pair_from_draws(feats, uniforms, tau, rho)
+            assert got.instances.features.tobytes() == want.instances.features.tobytes()
+            assert got.eta.eta.tobytes() == want.eta.eta.tobytes()
+            assert got.labels.labels.tobytes() == want.labels.labels.tobytes()
 
 
 def test_tau_zero_gives_coin_flip_probabilities():
@@ -137,3 +149,28 @@ def test_rho_bisection_matches_plain_and_scipy_references():
                 rho = _solve_rho_for_pi2(feats, tau, target)
                 assert rho == _bisect_rho(feats, tau, target, _sigmoid)
                 assert abs(rho - _bisect_rho(feats, tau, target, expit)) <= 1e-15
+    # one and two instances, repeated feature values, and a target on a flat
+    # stretch of the mean (n=2, tau=200, target 0.5), where no bound clears
+    x2 = [[0.3], [0.3, -0.7], [0.3, 0.3], [0.3, 0.3, -0.2, -0.2, -0.2, 0.9], np.repeat([-0.5, 0.1, 0.1, 0.8], 50)]
+    for values in x2:
+        feats = np.column_stack([np.zeros(len(values)), values])
+        for target in (0.05, 0.5, 0.95):
+            rho = _solve_rho_for_pi2(feats, 200.0, target)
+            assert rho == _bisect_rho(feats, 200.0, target, _sigmoid)
+
+
+def test_rho_replay_evaluates_at_most_40_times_per_default_sweep_point(monkeypatch):
+    counts = []
+    evaluate = cli._mean_sigmoid
+
+    def counting(*args):
+        counts[-1] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "_mean_sigmoid", counting)
+    feats, _ = _sigmoid_draws(100_000, 0)
+    for tau in (1.0, 5.0):
+        for target in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95):
+            counts.append(0)
+            assert _solve_rho_for_pi2(feats, tau, target) == _bisect_rho(feats, tau, target, _sigmoid)
+    assert max(counts) <= 40
