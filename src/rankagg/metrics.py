@@ -96,9 +96,14 @@ def _pair_sums(scores, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
         u_groups = np.add.reduceat(u_groups, starts, axis=1)
         v_groups = np.add.reduceat(v_groups, starts, axis=1)
     cumulative = np.cumsum(v_groups, axis=1)
-    below = np.concatenate((np.zeros_like(cumulative[:, :1]), cumulative[:, :-1]), axis=1)
-    sums = (u_groups * (below + 0.5 * v_groups)).sum(axis=1)
-    return sums, u_groups.sum(axis=1) * cumulative[:, -1]
+    # terms = u_groups * (below + 0.5 * v_groups), built in one buffer
+    terms = np.empty_like(cumulative)
+    terms[:, 0] = 0.0
+    terms[:, 1:] = cumulative[:, :-1]
+    v_groups *= 0.5
+    terms += v_groups
+    terms *= u_groups
+    return terms.sum(axis=1), u_groups.sum(axis=1) * cumulative[:, -1]
 
 
 def _bipartite_aucs(scores, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
