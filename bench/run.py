@@ -8,7 +8,17 @@ the median and quartiles of its repeats. Cases:
   1e6 / n calls per repeat;
 - ``solve_rho_default_sweep_n100000``: ``cli._solve_rho_for_pi2`` for the
   twelve (tau, pi2) points of ``skew-sweep`` at its defaults (seed 0);
-  seconds for all twelve.
+  seconds for all twelve;
+- ``surrogate_loss_grad_n600``: one exact logistic loss plus score gradient
+  (``surrogate._loss_and_score_grad``) for ``labelagg:absdiff`` at the
+  scores of a fixed linear scorer; seconds per call;
+- ``train_epoch_n600``: ``surrogate.train`` at the ``rankagg train``
+  benchmark flags (``labelagg:absdiff``, linear, Adam, lr 0.05) for
+  TRAIN_EPOCHS epochs; seconds per epoch.
+
+Both surrogate cases use n=600 data built as the benchmark's train CSV
+(uniform features on [-1, 1]^2, labels Bernoulli(s(6 x1)) and
+Bernoulli(s(2 x2)), seed 0), with label 1 reskewed to rate 0.85.
 
 Usage::
 
@@ -39,6 +49,8 @@ REPO = Path(__file__).resolve().parent.parent
 SWEEP_TAUS = (1.0, 5.0)
 SWEEP_TARGETS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
 REPEATS = 7
+TRAIN_N = 600
+TRAIN_EPOCHS = 60
 
 
 def _git(src: Path, *args: str) -> str | None:
@@ -57,18 +69,21 @@ def _cpu_model() -> str | None:
     return next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")), None)
 
 
-def _timings(fn, number: int, repeats: int) -> dict:
-    """Seconds per call of fn: median and quartiles over repeats of number calls."""
+def _timings(fn, number: int, repeats: int, units: int = 1) -> dict:
+    """Seconds per call of fn, or per unit of work when one call does units of it.
+
+    Median and quartiles over repeats of number calls.
+    """
     fn()
     per_call = []
     for _ in range(repeats):
         start = time.perf_counter()
         for _ in range(number):
             fn()
-        per_call.append((time.perf_counter() - start) / number)
+        per_call.append((time.perf_counter() - start) / (number * units))
     q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
     return {"median_s": statistics.median(per_call), "q1_s": q1, "q3_s": q3,
-            "repeats": repeats, "calls_per_repeat": number}
+            "repeats": repeats, "calls_per_repeat": number, "units_per_call": units}
 
 
 def measure() -> dict:
@@ -77,8 +92,12 @@ def measure() -> dict:
     from rankagg.cli import _solve_rho_for_pi2
     from rankagg.metrics import auc_report
 
+    # The surrogate cases run first: once the n=1e6 arrays below are freed,
+    # glibc raises its mmap threshold, and later block temporaries of a few
+    # hundred kB no longer pay the mmap and page faults a fresh `rankagg
+    # train` process pays.
+    cases = _surrogate_cases()
     rng = np.random.default_rng(0)
-    cases = {}
     for n in (1_000, 100_000, 1_000_000):
         scores = rng.standard_normal(n)
         labels = SampledLabels(rng.integers(0, 2, (n, 2)))
@@ -94,6 +113,31 @@ def measure() -> dict:
 
     cases["solve_rho_default_sweep_n100000"] = _timings(sweep_solves, number=1, repeats=REPEATS)
     return cases
+
+
+def _surrogate_cases() -> dict:
+    from rankagg import (
+        CostMatrix, InstanceSet, LabelAgg, Logistic, SampledLabels, Sum, TrainConfig, resample_to_skew, train,
+    )
+    from rankagg.surrogate import _loss_and_score_grad, _pair_groups
+
+    rng = np.random.default_rng([0, 7])
+    feats = rng.uniform(-1.0, 1.0, (TRAIN_N, 2))
+    eta = 1.0 / (1.0 + np.exp(-np.column_stack([6.0 * feats[:, 0], 2.0 * feats[:, 1]])))
+    labels = SampledLabels((rng.random(eta.shape) < eta).astype(int))
+    instances, labels = resample_to_skew(InstanceSet(feats), labels, 0, 0.85, 0)
+    objective = LabelAgg(Sum(), CostMatrix.absdiff(3))
+    groups = _pair_groups(labels, objective)
+    scores = instances.features @ np.array([1.0, 0.5])
+    config = TrainConfig(objective=objective, lr=0.05, epochs=TRAIN_EPOCHS)
+    return {
+        f"surrogate_loss_grad_n{TRAIN_N}": _timings(
+            lambda: _loss_and_score_grad(scores, groups, Logistic(), True), number=100, repeats=REPEATS
+        ),
+        f"train_epoch_n{TRAIN_N}": _timings(
+            lambda: train(instances, labels, config), number=1, repeats=REPEATS, units=TRAIN_EPOCHS
+        ),
+    }
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,11 @@
 """Command-line experiment harness.
 
 Subcommands: skew-sweep, train, oracle, bound. Exit codes: 0 success,
-2 flag errors (a count below 1 among them), 3 data or config errors, 4
-enumeration budget errors. Every option but --out, --data, --config,
---no-plot and --plot-out is also a key (snake_case or kebab-case) of an
-optional key=value --config file; flags override config values, which
+2 flag errors (among them a count below 1, a bound margin c outside
+[0, 0.5] and a learning rate that is negative or not finite), 3 data or
+config errors, 4 enumeration budget errors. Every option but --out, --data,
+--config, --no-plot and --plot-out is also a key (snake_case or kebab-case)
+of an optional key=value --config file; flags override config values, which
 override builtin defaults. Sweep points, train trials and bound points run
 one after another.
 """
@@ -36,6 +37,7 @@ from .bound import evaluate_bound
 from .surrogate import Hinge, Logistic, TrainConfig, train
 from .synthgen import (
     _sigmoid_draws,
+    _sigmoid_eta1,
     _sigmoid_pair_from_draws,
     gen_gaussian_bilevel,
     resample_to_skew,
@@ -64,6 +66,20 @@ def _count_list(text: str) -> list[int]:
     return [_count(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _learning_rate(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"expected a finite learning rate of at least 0, got {value}")
+    return value
+
+
+def _margin(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 0.5:
+        raise ValueError(f"expected a margin c in [0, 0.5], got {value}")
+    return value
+
+
 _SEED = (int, 0, "random seed")
 
 # subcommand -> option -> (parse, default, help). Each entry is both a
@@ -84,7 +100,7 @@ _OPTIONS = {
         "surrogate": (str, "logistic", "logistic | hinge"),
         "model": (str, "linear", "linear | mlp:h1,h2,..."),
         "epochs": (_count, 100, None),
-        "lr": (float, 0.01, None),
+        "lr": (_learning_rate, 0.01, None),
         "resample_pi": (str, None, "k:pi, reskew label column k to rate pi per trial"),
         "trials": (_count, 1, None),
         "pair_budget": (_count, 250_000, None),
@@ -100,7 +116,7 @@ _OPTIONS = {
         "seed": _SEED,
         "K": (_count_list, (2, 4, 8, 16), "comma list of label counts"),
         "n": (_count, 5, f"instance count (<= {MAX_EXHAUSTIVE_N})"),
-        "c": (float, 0.2, "probabilities drawn uniform in [c, 1-c]"),
+        "c": (_margin, 0.2, "probabilities drawn uniform in [c, 1-c], 0 <= c <= 0.5"),
     },
 }
 
@@ -226,13 +242,13 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
 _SWEEP_SCORERS = {"labelagg": label_agg_bayes_scorer_sum, "lossagg": loss_agg_bayes_scorer}
 
 
-def _sweep_point(data, tau, rho, pi2_target, seed):
-    pi2_emp = float(data.labels.labels[:, 1].mean())
+def _sweep_point(eta, labels, tau, rho, pi2_target, seed):
+    pi2_emp = float(labels.labels[:, 1].mean())
     rows = []
     for method, build_scorer in _SWEEP_SCORERS.items():
         # runtime_ms covers this method's scorer and AUC report only
         start = time.perf_counter()
-        report = auc_report(build_scorer(data.eta).scores(), data.labels)
+        report = auc_report(build_scorer(eta).scores(), labels)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             [
@@ -272,9 +288,10 @@ def cmd_skew_sweep(args) -> int:
             points = [(rho, None) for rho in args.rho]
         else:
             points = [(_solve_rho_for_pi2(feats, tau, target), target) for target in args.pi2]
+        eta1 = _sigmoid_eta1(feats, tau)
         for rho, target in points:
-            data = _sigmoid_pair_from_draws(feats, uniforms, tau, rho)
-            rows += _sweep_point(data, tau, rho, target, args.seed)
+            eta, labels = _sigmoid_pair_from_draws(feats, uniforms, eta1, tau, rho)
+            rows += _sweep_point(eta, labels, tau, rho, target, args.seed)
     rows.sort(key=lambda r: (r[1], r[4], r[5]))
     header = [
         "experiment",

@@ -46,11 +46,25 @@ _CHUNK_CELLS = 1 << 20
 class Logistic:
     """phi(z) = log(1 + exp(-z)), with phi and phi' from one exp(-|z|)."""
 
-    def phi_dphi(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """phi = max(-z, 0) + log1p(e) and phi' = -(e if z >= 0 else 1) / (1 + e), e = exp(-|z|)."""
+    def phi_dphi(self, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """phi = log1p(e) - min(z, 0) and phi' = (e if z >= 0 else 1) / (-1 - e), e = exp(-|z|).
+
+        out, if given, is three float arrays of z's shape: scratch for e,
+        then phi and phi'. z is only read. Returns (phi, phi').
+        """
         z = np.asarray(z, dtype=float)
-        e = np.exp(-np.abs(z))
-        return np.maximum(-z, 0.0) + np.log1p(e), -np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+        e, phi, dphi = out if out is not None else (np.empty_like(z) for _ in range(3))
+        np.abs(z, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.log1p(e, out=phi)
+        phi -= np.minimum(z, 0.0, out=dphi)
+        # e <= 1, so max(e, [z < 0]) is 1 where z < 0 and e elsewhere
+        np.less(z, 0.0, out=dphi)
+        np.maximum(e, dphi, out=dphi)
+        np.subtract(-1.0, e, out=e)
+        dphi /= e
+        return phi, dphi
 
     def phi(self, z: np.ndarray) -> np.ndarray:
         return self.phi_dphi(z)[0]
@@ -63,45 +77,51 @@ class Logistic:
 class Hinge:
     """phi(z) = max(0, 1 - z); subgradient 0 at the kink z = 1."""
 
-    def phi_dphi(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.phi(z), self.dphi(z)
+    def phi_dphi(self, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """out, if given, is as for Logistic.phi_dphi; its first array goes unused."""
+        z = np.asarray(z, dtype=float)
+        _, phi, dphi = out if out is not None else (None, np.empty_like(z), np.empty_like(z))
+        np.subtract(1.0, z, out=phi)
+        np.maximum(0.0, phi, out=phi)
+        np.less(z, 1.0, out=dphi)
+        np.negative(dphi, out=dphi)
+        return phi, dphi
 
     def phi(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, 1.0 - z)
+        return self.phi_dphi(z)[0]
 
     def dphi(self, z: np.ndarray) -> np.ndarray:
-        return -(z < 1.0).astype(float)
+        return self.phi_dphi(z)[1]
 
 
 SurrogateKind = Logistic | Hinge
 
 
-def _pair_groups(labels: SampledLabels, objective) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Decompose an objective into (pos rows, neg rows, coefficient) groups.
+def _pair_groups(labels: SampledLabels, objective) -> tuple[list[np.ndarray], list[tuple[int, int, float]]]:
+    """Decompose an objective into row sets and (pos set, neg set, coefficient) groups.
 
     The surrogate loss is sum_g coeff_g * mean over g's pair cross product
-    of phi(f_pos - f_neg).
+    of phi(f_pos - f_neg). Groups name their sets by index, so a set that
+    several groups share is listed once.
     """
     lab = labels.labels
 
-    def binary_group(column: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    def binary_group(column: np.ndarray, what: str) -> list[np.ndarray]:
         pos = np.flatnonzero(column == 1)
         neg = np.flatnonzero(column == 0)
         if pos.size == 0 or neg.size == 0:
             raise DegenerateLabel(f"{what} has a single class")
-        return pos, neg
+        return [pos, neg]
 
     if isinstance(objective, PerLabel):
-        pos, neg = binary_group(lab[:, objective.k], f"label {objective.k}")
-        return [(pos, neg, 1.0)]
+        return binary_group(lab[:, objective.k], f"label {objective.k}"), [(0, 1, 1.0)]
     if isinstance(objective, LossAgg):
         if len(objective.weights) != labels.K:
             raise ValueError("weight count must match K")
-        groups = []
-        for k, a_k in enumerate(objective.weights):
-            pos, neg = binary_group(lab[:, k], f"label {k}")
-            groups.append((pos, neg, float(a_k)))
-        return groups
+        sides = []
+        for k in range(labels.K):
+            sides += binary_group(lab[:, k], f"label {k}")
+        return sides, [(2 * k, 2 * k + 1, float(a_k)) for k, a_k in enumerate(objective.weights)]
     if isinstance(objective, LabelAgg):
         ordinal = aggregate_labels(labels, objective.aggregator)
         levels = int(ordinal.max()) + 1
@@ -113,43 +133,64 @@ def _pair_groups(labels: SampledLabels, objective) -> list[tuple[np.ndarray, np.
             for mp in range(m):
                 c = float(objective.costs.costs[m, mp])
                 if c > 0.0 and by_level[m].size and by_level[mp].size:
-                    mass = c * by_level[m].size * by_level[mp].size
-                    raw.append((by_level[m], by_level[mp], mass))
+                    raw.append((m, mp, c * by_level[m].size * by_level[mp].size))
         total = sum(mass for _, _, mass in raw)
         if total == 0.0:
             raise DegenerateLabel("no discordant pair carries positive cost")
-        return [(pos, neg, mass / total) for pos, neg, mass in raw]
+        return by_level, [(m, mp, mass / total) for m, mp, mass in raw]
     raise TypeError(f"unsupported objective {objective!r}")
 
 
-def _group_loss_grad(scores, pos, neg, kind, want_grad, grad_scores, coeff):
+def _distinct_side(values: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A row set's distinct scores, their counts and each row's index into them.
+
+    values holds the sorted distinct scores of all rows and inv the set's
+    rows' indices into it, so these equal np.unique(scores[rows],
+    return_inverse=True, return_counts=True) without a sort.
+    """
+    counts = np.bincount(inv, minlength=values.size)
+    present = counts > 0
+    return values[present], counts[present].astype(float), (np.cumsum(present) - 1)[inv]
+
+
+def _block_rows(n_pos: int, n_neg: int) -> int:
+    """Positive values per block, so that a block holds at most about _CHUNK_CELLS pairs."""
+    return min(n_pos, max(1, _CHUNK_CELLS // n_neg))
+
+
+def _group_loss_grad(pos, neg, kind, want_grad, grad_scores, coeff, bufs):
     """Exact mean phi over the full pos x neg cross product, chunked.
 
-    Rows with equal scores contribute equal pair terms (resampled rows,
-    discrete features, a zero-initialized scorer), so phi is evaluated once
-    per distinct (positive, negative) score pair and weighted by the counts
-    of both values; each row then takes its score value's gradient.
+    pos and neg are (rows, distinct scores, counts, inverse) sides. Rows
+    with equal scores contribute equal pair terms (resampled rows, discrete
+    features, a zero-initialized scorer), so phi is evaluated once per
+    distinct (positive, negative) score pair and weighted by the counts of
+    both values; each row then takes its score value's gradient. bufs holds
+    four flat float arrays (z, e, phi, phi') of at least one block's cells.
     """
-    f_pos, inv_pos, c_pos = np.unique(scores[pos], return_inverse=True, return_counts=True)
-    f_neg, inv_neg, c_neg = np.unique(scores[neg], return_inverse=True, return_counts=True)
-    c_pos, c_neg = c_pos.astype(float), c_neg.astype(float)
-    rows = max(1, _CHUNK_CELLS // f_neg.size)
+    pos_rows, f_pos, c_pos, inv_pos = pos
+    neg_rows, f_neg, c_neg, inv_neg = neg
+    rows = _block_rows(f_pos.size, f_neg.size)
     total = 0.0
     g_pos = np.empty(f_pos.size)
     g_neg = np.zeros(f_neg.size)
     for start in range(0, f_pos.size, rows):
         block = slice(start, start + rows)
-        phi, dphi = kind.phi_dphi(f_pos[block, None] - f_neg[None, :])
+        cells = f_pos[block].size * f_neg.size
+        z, e, phi, dphi = (buf[:cells].reshape(-1, f_neg.size) for buf in bufs)
+        np.subtract(f_pos[block, None], f_neg, out=z)
+        kind.phi_dphi(z, out=(e, phi, dphi))
+        phi *= c_neg
         # np.sum's pairwise summation keeps the loss's rounding as small as a dense sum's
-        total += float((phi * c_neg).sum(axis=1) @ c_pos[block])
+        total += float(phi.sum(axis=1) @ c_pos[block])
         if want_grad:
             g_pos[block] = dphi @ c_neg
             g_neg -= c_pos[block] @ dphi
-    scale = coeff / (pos.size * neg.size)
+    scale = coeff / (pos_rows.size * neg_rows.size)
     if want_grad:
         # pos and neg each hold distinct rows, so indexed += adds no row twice
-        grad_scores[pos] += scale * g_pos[inv_pos]
-        grad_scores[neg] += scale * g_neg[inv_neg]
+        grad_scores[pos_rows] += scale * g_pos[inv_pos]
+        grad_scores[neg_rows] += scale * g_neg[inv_neg]
     return scale * total
 
 
@@ -167,16 +208,23 @@ def _sampled_loss_grad(scores, pos, neg, kind, want_grad, grad_scores, coeff, m,
 
 
 def _loss_and_score_grad(scores, groups, kind, want_grad, budget=None, rng=None):
+    """Loss and d loss / d scores over _pair_groups' groups: exact, or sampled over budget pairs."""
+    sets, pairs = groups
     grad_scores = np.zeros(scores.shape[0]) if want_grad else None
-    n_pairs = sum(pos.size * neg.size for pos, neg, _ in groups)
+    n_pairs = sum(sets[i].size * sets[j].size for i, j, _ in pairs)
     loss = 0.0
-    if budget is None or n_pairs <= budget:
-        for pos, neg, coeff in groups:
-            loss += _group_loss_grad(scores, pos, neg, kind, want_grad, grad_scores, coeff)
-    else:
-        for pos, neg, coeff in groups:
-            m = max(1, int(round(budget * pos.size * neg.size / n_pairs)))
-            loss += _sampled_loss_grad(scores, pos, neg, kind, want_grad, grad_scores, coeff, m, rng)
+    if budget is not None and n_pairs > budget:
+        for i, j, coeff in pairs:
+            m = max(1, int(round(budget * sets[i].size * sets[j].size / n_pairs)))
+            loss += _sampled_loss_grad(scores, sets[i], sets[j], kind, want_grad, grad_scores, coeff, m, rng)
+        return loss, grad_scores
+    # the epoch's one sort: every set's distinct scores are a subset of these
+    values, inv = np.unique(scores, return_inverse=True)
+    sides = [(rows, *_distinct_side(values, inv[rows])) for rows in sets]
+    cells = max(_block_rows(sides[i][1].size, sides[j][1].size) * sides[j][1].size for i, j, _ in pairs)
+    bufs = [np.empty(cells) for _ in range(4)]
+    for i, j, coeff in pairs:
+        loss += _group_loss_grad(sides[i], sides[j], kind, want_grad, grad_scores, coeff, bufs)
     return loss, grad_scores
 
 
@@ -262,8 +310,8 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("learning rate must be finite and non-negative")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if self.optimizer not in ("adam", "sgd"):

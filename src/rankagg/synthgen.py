@@ -77,17 +77,26 @@ def _sigmoid_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return feats, _rng(seed, _STREAM_LABELS).random((n, 2))
 
 
-def _sigmoid_pair_from_draws(feats: np.ndarray, uniforms: np.ndarray, tau: float, rho: float) -> SynthData:
-    """gen_sigmoid_pair's eta table and labels at (tau, rho) for already drawn inputs."""
-    eta = np.column_stack([_sigmoid(tau * (feats @ _W1)), _sigmoid(tau * (feats @ _W2 - rho))])
-    return SynthData(InstanceSet(feats), EtaTable(eta), _sample_labels(eta, uniforms))
+def _sigmoid_eta1(feats: np.ndarray, tau: float) -> np.ndarray:
+    """gen_sigmoid_pair's eta1 = s(tau w1.x), which does not depend on rho."""
+    return _sigmoid(tau * (feats @ _W1))
+
+
+def _sigmoid_pair_from_draws(
+    feats: np.ndarray, uniforms: np.ndarray, eta1: np.ndarray, tau: float, rho: float
+) -> tuple[EtaTable, SampledLabels]:
+    """gen_sigmoid_pair's eta table and labels at (tau, rho) for already drawn inputs and eta1."""
+    eta = np.column_stack([eta1, _sigmoid(tau * (feats @ _W2 - rho))])
+    return EtaTable(eta), _sample_labels(eta, uniforms)
 
 
 def gen_sigmoid_pair(config: SigmoidSynthConfig) -> SynthData:
     """Two-label logistic model: eta1 = s(tau w1.x), eta2 = s(tau (w2.x - rho))."""
     if config.n < 1:
         raise ValueError("need n >= 1")
-    return _sigmoid_pair_from_draws(*_sigmoid_draws(config.n, config.seed), config.tau, config.rho)
+    feats, uniforms = _sigmoid_draws(config.n, config.seed)
+    eta1 = _sigmoid_eta1(feats, config.tau)
+    return SynthData(InstanceSet(feats), *_sigmoid_pair_from_draws(feats, uniforms, eta1, config.tau, config.rho))
 
 
 def gen_gaussian_bilevel(n: int, seed: int) -> SynthData:

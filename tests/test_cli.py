@@ -275,8 +275,10 @@ def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, 
 
     monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), record)
     # a distinct value per option catches crossed keys; "11", "12", ... parse under every
-    # option type and differ from every default
+    # option type but bound's margin c, which must lie in [0, 0.5], and differ from every default
     values = {key: str(11 + i) for i, key in enumerate(cli._OPTIONS[command])}
+    if command == "bound":
+        values["c"] = "0.35"
     base = [command, "--out", str(tmp_path / "o.csv"), "--no-plot"]
     if command == "train":
         base += ["--data", str(tmp_path / "d.csv")]
@@ -308,6 +310,52 @@ def test_bad_counts_and_label_indices_exit_with_codes(command, flags, code, data
     data = ["--data", str(dataset_csv)] if command == "train" else []
     assert main([command, "--out", str(out), "--no-plot", *data, *flags]) == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("bound", ["--c", "nan"]),
+        ("bound", ["--c", "0.6"]),
+        ("bound", ["--c=-0.1"]),
+        ("bound", ["--c", "inf"]),
+        ("train", ["--lr", "nan"]),
+        ("train", ["--lr", "inf"]),
+        ("train", ["--lr=-0.5"]),
+    ],
+)
+def test_bad_margin_and_learning_rate_flags_exit_2(command, flags, dataset_csv, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    data = ["--data", str(dataset_csv)] if command == "train" else []
+    assert main([command, "--out", str(out), "--no-plot", *data, *flags]) == 2
+    assert f"argument {flags[0].split('=')[0]}: invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, line, named",
+    [
+        ("bound", "c=nan", "expected a margin c in [0, 0.5]"),
+        ("bound", "c=0.6", "expected a margin c in [0, 0.5]"),
+        ("train", "lr=nan", "expected a finite learning rate"),
+        ("train", "lr=-inf", "expected a finite learning rate"),
+    ],
+)
+def test_bad_margin_and_learning_rate_in_config_exit_3(command, line, named, dataset_csv, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "o.csv"
+    data = ["--data", str(dataset_csv)] if command == "train" else []
+    assert main([command, "--out", str(out), "--config", str(config), *data]) == 3
+    assert f"error: {config}: {line}: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_margin_accepts_its_closed_interval(tmp_path):
+    for c in ("0", "0.5"):
+        out = tmp_path / f"c{c}.csv"
+        assert main(["bound", "--out", str(out), "--n", "4", "--K", "2", "--c", c, "--no-plot"]) == 0
+        assert len(out.read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("command, line", [("train", "trials=0"), ("oracle", "weights-grid=-3")])

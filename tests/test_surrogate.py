@@ -22,7 +22,8 @@ from rankagg import (
     surrogate_objective,
     train,
 )
-from rankagg.surrogate import init_scorer, scorer_parameters, _rebuild
+from rankagg import surrogate
+from rankagg.surrogate import _loss_and_score_grad, _pair_groups, _rebuild, init_scorer, scorer_parameters
 
 
 def _dataset(seed, n=14, d=3):
@@ -254,3 +255,134 @@ def test_config_validation():
         TrainConfig(objective=PerLabel(0), epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(objective=PerLabel(0), optimizer="newton")
+    for lr in (-0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(objective=PerLabel(0), lr=lr)
+    assert TrainConfig(objective=PerLabel(0), lr=0.0).lr == 0.0
+
+
+def _reference_phi_dphi(kind, z):
+    """phi and phi' as fresh arrays, by the formulas the in-place kernel reproduces bit for bit."""
+    if isinstance(kind, Logistic):
+        e = np.exp(-np.abs(z))
+        return np.maximum(-z, 0.0) + np.log1p(e), -np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+    return np.maximum(0.0, 1.0 - z), -(z < 1.0).astype(float)
+
+
+def _reference_loss_and_score_grad(scores, groups, kind, chunk):
+    """Reference full-pair kernel: np.unique on each group side, fresh arrays per block."""
+    sets, pairs = groups
+    grad_scores = np.zeros(scores.size)
+    loss = 0.0
+    for i, j, coeff in pairs:
+        pos, neg = sets[i], sets[j]
+        f_pos, inv_pos, c_pos = np.unique(scores[pos], return_inverse=True, return_counts=True)
+        f_neg, inv_neg, c_neg = np.unique(scores[neg], return_inverse=True, return_counts=True)
+        c_pos, c_neg = c_pos.astype(float), c_neg.astype(float)
+        rows = max(1, chunk // f_neg.size)
+        total = 0.0
+        g_pos = np.empty(f_pos.size)
+        g_neg = np.zeros(f_neg.size)
+        for start in range(0, f_pos.size, rows):
+            block = slice(start, start + rows)
+            phi, dphi = _reference_phi_dphi(kind, f_pos[block, None] - f_neg[None, :])
+            total += float((phi * c_neg).sum(axis=1) @ c_pos[block])
+            g_pos[block] = dphi @ c_neg
+            g_neg -= c_pos[block] @ dphi
+        scale = coeff / (pos.size * neg.size)
+        grad_scores[pos] += scale * g_pos[inv_pos]
+        grad_scores[neg] += scale * g_neg[inv_neg]
+        loss += scale * total
+    return loss, grad_scores
+
+
+_KERNEL_OBJECTIVES = [
+    PerLabel(0),
+    LossAgg((1.0, 2.5)),
+    LabelAgg(Sum(), CostMatrix.uniform(3)),
+    LabelAgg(Sum(), CostMatrix.absdiff(3)),
+]
+
+
+def _repeated_scores(seed):
+    """Scores and labels of resampled rows: few distinct values, signed zeros among them."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 60))
+    distinct = int(rng.integers(1, n + 1))
+    if rng.random() < 0.5:
+        pool = rng.integers(-2, 3, distinct).astype(float)  # hinge pairs on the kink z = 1
+    else:
+        pool = rng.standard_normal(distinct) * rng.choice([1e-3, 1.0, 40.0])
+    pool[rng.random(distinct) < 0.25] = 0.0
+    pool[rng.random(distinct) < 0.25] = -0.0
+    rows = rng.integers(0, distinct, n)
+    labels = rng.integers(0, 2, (distinct, 2))[rows]  # labels ride along with their rows
+    labels[0], labels[1] = (1, 1), (0, 0)
+    return pool[rows], SampledLabels(labels)
+
+
+def _assert_kernel_matches_reference(scores, labels, objective, kind, chunk):
+    groups = _pair_groups(labels, objective)
+    want_loss, want_grad = _reference_loss_and_score_grad(scores, groups, kind, chunk)
+    loss, grad_scores = _loss_and_score_grad(scores, groups, kind, want_grad=True)
+    assert loss == want_loss
+    assert grad_scores.tobytes() == want_grad.tobytes()
+    assert _loss_and_score_grad(scores, groups, kind, want_grad=False)[0] == want_loss
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(range(len(_KERNEL_OBJECTIVES))),
+    st.sampled_from(sorted(_DENSE_KINDS)),
+    st.sampled_from([1 << 20, 1, 2, 7, 16]),
+)
+def test_one_sort_kernel_matches_the_per_group_unique_kernel_bit_for_bit(seed, which, kind_name, chunk):
+    scores, labels = _repeated_scores(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surrogate, "_CHUNK_CELLS", chunk)
+        _assert_kernel_matches_reference(scores, labels, _KERNEL_OBJECTIVES[which], _DENSE_KINDS[kind_name][0], chunk)
+
+
+@pytest.mark.parametrize("kind_name", sorted(_DENSE_KINDS))
+def test_chunked_blocks_split_into_single_rows_and_a_partial_tail(kind_name, monkeypatch):
+    # label 0: 7 distinct positive and 5 distinct negative scores, a signed zero on each side
+    pos = [0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.0, 5.0]
+    neg = [-1.0, -0.0, 0.0, 0.25, 1.0, 1.0, -2.0]
+    scores = np.array(pos + neg)
+    labels = SampledLabels(np.column_stack([[1] * len(pos) + [0] * len(neg), np.arange(scores.size) % 2]))
+    assert (np.unique(pos).size, np.unique(neg).size) == (7, 5)
+    kind = _DENSE_KINDS[kind_name][0]
+    assert surrogate._block_rows(7, 5) == 7  # the default chunk holds the whole group
+    for chunk, rows in ((4, 1), (15, 3), (30, 6)):
+        monkeypatch.setattr(surrogate, "_CHUNK_CELLS", chunk)
+        # one row per block, or a last block shorter than the others
+        assert surrogate._block_rows(7, 5) == rows and (rows == 1 or 7 % rows)
+        for objective in (PerLabel(0), LossAgg((1.0, 2.5))):
+            _assert_kernel_matches_reference(scores, labels, objective, kind, chunk)
+
+
+def test_each_full_pair_call_sorts_the_scores_once(monkeypatch):
+    scores, labels = _repeated_scores(5)
+    calls = []
+    unique = np.unique
+
+    def counting_unique(values, *args, **kwargs):
+        calls.append(np.asarray(values).size)
+        return unique(values, *args, **kwargs)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the kernel sorted outside np.unique")
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    for name in ("sort", "argsort", "lexsort", "partition", "argpartition"):
+        monkeypatch.setattr(np, name, no_sort)
+    for objective in _KERNEL_OBJECTIVES:
+        groups = _pair_groups(labels, objective)
+        for want_grad in (False, True):
+            calls.clear()
+            _loss_and_score_grad(scores, groups, Logistic(), want_grad)
+            assert calls == [scores.size]
+        calls.clear()
+        _loss_and_score_grad(scores, groups, Logistic(), True, budget=1, rng=np.random.default_rng(0))
+        assert calls == []  # the sampled path needs no distinct values

@@ -12,7 +12,7 @@ from rankagg import (
 )
 from rankagg import cli
 from rankagg.cli import _solve_rho_for_pi2
-from rankagg.synthgen import _sigmoid, _sigmoid_draws, _sigmoid_pair_from_draws
+from rankagg.synthgen import _sigmoid, _sigmoid_draws, _sigmoid_eta1, _sigmoid_pair_from_draws
 
 
 def test_generation_is_deterministic_per_seed():
@@ -33,14 +33,16 @@ def test_growing_n_preserves_the_earlier_prefix():
 
 
 def test_shared_draws_reproduce_gen_sigmoid_pair_bit_for_bit():
+    # as in the sweep: one draw, and one eta1 per tau shared by every rho
     feats, uniforms = _sigmoid_draws(500, 3)
     for tau in (0.5, 5.0, 200.0):
+        eta1 = _sigmoid_eta1(feats, tau)
         for rho in (-1.3, 0.0, 0.4):
             want = gen_sigmoid_pair(SigmoidSynthConfig(500, tau, rho, 3))
-            got = _sigmoid_pair_from_draws(feats, uniforms, tau, rho)
-            assert got.instances.features.tobytes() == want.instances.features.tobytes()
-            assert got.eta.eta.tobytes() == want.eta.eta.tobytes()
-            assert got.labels.labels.tobytes() == want.labels.labels.tobytes()
+            eta, labels = _sigmoid_pair_from_draws(feats, uniforms, eta1, tau, rho)
+            assert feats.tobytes() == want.instances.features.tobytes()
+            assert eta.eta.tobytes() == want.eta.eta.tobytes()
+            assert labels.labels.tobytes() == want.labels.labels.tobytes()
 
 
 def test_tau_zero_gives_coin_flip_probabilities():
