@@ -14,9 +14,13 @@ the median and quartiles of its repeats. Cases:
   scores of a fixed linear scorer; seconds per call;
 - ``train_epoch_n600``: ``surrogate.train`` at the ``rankagg train``
   benchmark flags (``labelagg:absdiff``, linear, Adam, lr 0.05) for
-  TRAIN_EPOCHS epochs; seconds per epoch.
+  TRAIN_EPOCHS epochs; seconds per epoch;
+- ``train_epoch_untraced_n600``: the same training with ``per_epoch=False``,
+  as ``rankagg train`` runs it without ``--trace-out``: no per-epoch loss
+  or training AUCs. A source tree whose ``train`` has no ``per_epoch``
+  leaves this case out.
 
-Both surrogate cases use n=600 data built as the benchmark's train CSV
+The surrogate cases use n=600 data built as the benchmark's train CSV
 (uniform features on [-1, 1]^2, labels Bernoulli(s(6 x1)) and
 Bernoulli(s(2 x2)), seed 0), with label 1 reskewed to rate 0.85.
 
@@ -34,6 +38,7 @@ before and after a change.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -130,7 +135,7 @@ def _surrogate_cases() -> dict:
     groups = _pair_groups(labels, objective)
     scores = instances.features @ np.array([1.0, 0.5])
     config = TrainConfig(objective=objective, lr=0.05, epochs=TRAIN_EPOCHS)
-    return {
+    cases = {
         f"surrogate_loss_grad_n{TRAIN_N}": _timings(
             lambda: _loss_and_score_grad(scores, groups, Logistic(), True), number=100, repeats=REPEATS
         ),
@@ -138,6 +143,11 @@ def _surrogate_cases() -> dict:
             lambda: train(instances, labels, config), number=1, repeats=REPEATS, units=TRAIN_EPOCHS
         ),
     }
+    if "per_epoch" in inspect.signature(train).parameters:
+        cases[f"train_epoch_untraced_n{TRAIN_N}"] = _timings(
+            lambda: train(instances, labels, config, per_epoch=False), number=1, repeats=REPEATS, units=TRAIN_EPOCHS
+        )
+    return cases
 
 
 def main(argv=None) -> int:

@@ -4,10 +4,11 @@ Subcommands: skew-sweep, train, oracle, bound. Exit codes: 0 success,
 2 flag errors (among them a count below 1, a bound margin c outside
 [0, 0.5] and a learning rate that is negative or not finite), 3 data or
 config errors, 4 enumeration budget errors. Every option but --out, --data,
---config, --no-plot and --plot-out is also a key (snake_case or kebab-case)
-of an optional key=value --config file; flags override config values, which
-override builtin defaults. Sweep points, train trials and bound points run
-one after another.
+--trace-out, --config, --no-plot and --plot-out is also a key (snake_case or
+kebab-case) of an optional key=value --config file; flags override config
+values, which override builtin defaults. Sweep points, train trials and
+bound points run one after another. train computes its per-epoch losses and
+training AUCs only for --trace-out, which writes them as JSON lines.
 """
 
 from __future__ import annotations
@@ -275,12 +276,11 @@ def cmd_skew_sweep(args) -> int:
     if args.rho is not None and args.pi2 is not None:
         print("give --rho or --pi2, not both", file=sys.stderr)
         return _EXIT_FLAGS
-    if args.pi2 is not None:
-        bad = [f"--pi2 {p:g}" for p in args.pi2 if not 0.0 < p < 1.0]
-        bad += [f"--tau {t:g}" for t in args.tau if not 0.0 < t < np.inf]
-        if bad:
-            print(f"{', '.join(bad)}: targets need 0 < pi2 < 1 and a finite tau > 0", file=sys.stderr)
-            return _EXIT_FLAGS
+    bad = [f"--pi2 {p:g}" for p in args.pi2 or () if not 0.0 < p < 1.0]
+    bad += [f"--tau {t:g}" for t in args.tau if not 0.0 < t < np.inf]
+    if bad:
+        print(f"{', '.join(bad)}: the sweep needs a finite tau > 0 and targets 0 < pi2 < 1", file=sys.stderr)
+        return _EXIT_FLAGS
     feats, uniforms = _sigmoid_draws(args.n, args.seed)
     rows = []
     for tau in args.tau:
@@ -372,7 +372,7 @@ def cmd_train(args) -> int:
         if not 0 <= resample[0] < labels.K:
             raise ValueError(f"--resample-pi label index {resample[0]} is not in 0..{labels.K - 1}")
 
-    rows = []
+    rows, traces = [], []
     for trial in range(args.trials):
         start = time.perf_counter()
         trial_seed = args.seed + trial
@@ -388,7 +388,10 @@ def cmd_train(args) -> int:
             seed=trial_seed,
             hidden=hidden,
         )
-        scorer, trace = train(inst, labs, config, eval_instances=instances, eval_labels=labels)
+        scorer, trace = train(
+            inst, labs, config, eval_instances=instances, eval_labels=labels, per_epoch=args.trace_out is not None
+        )
+        traces.append(trace)
         report = trace[-1]["eval"]
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
@@ -437,7 +440,21 @@ def cmd_train(args) -> int:
         "seed",
     ]
     dataio.write_rows(args.out, header, rows)
+    if args.trace_out is not None:
+        _write_train_trace(args.trace_out, traces)
     return _EXIT_OK
+
+
+def _write_train_trace(path, traces: list[list[dict]]) -> None:
+    """One JSON line per (trial, epoch): the loss and the training per-label AUCs."""
+    import json  # only --trace-out runs need it, so importing the CLI does not load it
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for trial, trace in enumerate(traces):
+            for row in trace:
+                line = {"trial": trial, "epoch": row["epoch"], "loss": row["loss"],
+                        "train_auc": [float(v) for v in row["train"].per_label]}
+                fh.write(json.dumps(line) + "\n")
 
 
 # -------------------------------------------------------------------- oracle
@@ -565,6 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output CSV path")
         if name == "train":
             p.add_argument("--data", required=True, help="dataset CSV (f0..,y0.. schema)")
+            p.add_argument("--trace-out", help="JSONL path for each epoch's loss and training per-label AUCs")
         p.add_argument("--config", help="key=value config file; flags take precedence")
         p.add_argument("--no-plot", action="store_true")
         p.add_argument("--plot-out", help="SVG path (default: out path with .svg)")

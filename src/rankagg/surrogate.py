@@ -42,6 +42,22 @@ __all__ = [
 _CHUNK_CELLS = 1 << 20
 
 
+def _exp_neg_abs(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _logistic_dphi(z: np.ndarray, e: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """phi' = max(e, [z < 0]) / (-1 - e) into dphi, from e = exp(-|z|); e is overwritten."""
+    # e <= 1, so max(e, [z < 0]) is 1 where z < 0 and e elsewhere
+    np.less(z, 0.0, out=dphi)
+    np.maximum(e, dphi, out=dphi)
+    np.subtract(-1.0, e, out=e)
+    dphi /= e
+    return dphi
+
+
 @dataclass(frozen=True)
 class Logistic:
     """phi(z) = log(1 + exp(-z)), with phi and phi' from one exp(-|z|)."""
@@ -54,23 +70,19 @@ class Logistic:
         """
         z = np.asarray(z, dtype=float)
         e, phi, dphi = out if out is not None else (np.empty_like(z) for _ in range(3))
-        np.abs(z, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
+        _exp_neg_abs(z, e)
         np.log1p(e, out=phi)
         phi -= np.minimum(z, 0.0, out=dphi)
-        # e <= 1, so max(e, [z < 0]) is 1 where z < 0 and e elsewhere
-        np.less(z, 0.0, out=dphi)
-        np.maximum(e, dphi, out=dphi)
-        np.subtract(-1.0, e, out=e)
-        dphi /= e
-        return phi, dphi
+        return phi, _logistic_dphi(z, e, dphi)
 
     def phi(self, z: np.ndarray) -> np.ndarray:
         return self.phi_dphi(z)[0]
 
-    def dphi(self, z: np.ndarray) -> np.ndarray:
-        return self.phi_dphi(z)[1]
+    def dphi(self, z: np.ndarray, out=None) -> np.ndarray:
+        """phi' alone, bit for bit phi_dphi's; out, if given, is scratch for e, then phi'."""
+        z = np.asarray(z, dtype=float)
+        e, dphi = out if out is not None else (np.empty_like(z), np.empty_like(z))
+        return _logistic_dphi(z, _exp_neg_abs(z, e), dphi)
 
 
 @dataclass(frozen=True)
@@ -83,15 +95,17 @@ class Hinge:
         _, phi, dphi = out if out is not None else (None, np.empty_like(z), np.empty_like(z))
         np.subtract(1.0, z, out=phi)
         np.maximum(0.0, phi, out=phi)
-        np.less(z, 1.0, out=dphi)
-        np.negative(dphi, out=dphi)
-        return phi, dphi
+        return phi, self.dphi(z, out=(None, dphi))
 
     def phi(self, z: np.ndarray) -> np.ndarray:
         return self.phi_dphi(z)[0]
 
-    def dphi(self, z: np.ndarray) -> np.ndarray:
-        return self.phi_dphi(z)[1]
+    def dphi(self, z: np.ndarray, out=None) -> np.ndarray:
+        """out, if given, is as for Logistic.dphi; its first array goes unused."""
+        z = np.asarray(z, dtype=float)
+        dphi = out[1] if out is not None else np.empty_like(z)
+        np.less(z, 1.0, out=dphi)
+        return np.negative(dphi, out=dphi)
 
 
 SurrogateKind = Logistic | Hinge
@@ -158,7 +172,7 @@ def _block_rows(n_pos: int, n_neg: int) -> int:
     return min(n_pos, max(1, _CHUNK_CELLS // n_neg))
 
 
-def _group_loss_grad(pos, neg, kind, want_grad, grad_scores, coeff, bufs):
+def _group_loss_grad(pos, neg, kind, want_grad, want_loss, grad_scores, coeff, bufs):
     """Exact mean phi over the full pos x neg cross product, chunked.
 
     pos and neg are (rows, distinct scores, counts, inverse) sides. Rows
@@ -167,6 +181,7 @@ def _group_loss_grad(pos, neg, kind, want_grad, grad_scores, coeff, bufs):
     distinct (positive, negative) score pair and weighted by the counts of
     both values; each row then takes its score value's gradient. bufs holds
     four flat float arrays (z, e, phi, phi') of at least one block's cells.
+    Without want_loss only phi' is evaluated, and the loss returned is 0.
     """
     pos_rows, f_pos, c_pos, inv_pos = pos
     neg_rows, f_neg, c_neg, inv_neg = neg
@@ -179,10 +194,13 @@ def _group_loss_grad(pos, neg, kind, want_grad, grad_scores, coeff, bufs):
         cells = f_pos[block].size * f_neg.size
         z, e, phi, dphi = (buf[:cells].reshape(-1, f_neg.size) for buf in bufs)
         np.subtract(f_pos[block, None], f_neg, out=z)
-        kind.phi_dphi(z, out=(e, phi, dphi))
-        phi *= c_neg
-        # np.sum's pairwise summation keeps the loss's rounding as small as a dense sum's
-        total += float(phi.sum(axis=1) @ c_pos[block])
+        if want_loss:
+            kind.phi_dphi(z, out=(e, phi, dphi))
+            phi *= c_neg
+            # np.sum's pairwise summation keeps the loss's rounding as small as a dense sum's
+            total += float(phi.sum(axis=1) @ c_pos[block])
+        else:
+            kind.dphi(z, out=(e, dphi))
         if want_grad:
             g_pos[block] = dphi @ c_neg
             g_neg -= c_pos[block] @ dphi
@@ -194,21 +212,25 @@ def _group_loss_grad(pos, neg, kind, want_grad, grad_scores, coeff, bufs):
     return scale * total
 
 
-def _sampled_loss_grad(scores, pos, neg, kind, want_grad, grad_scores, coeff, m, rng):
-    """Unbiased with-replacement pair sample of size m."""
+def _sampled_loss_grad(scores, pos, neg, kind, want_grad, want_loss, grad_scores, coeff, m, rng):
+    """Unbiased with-replacement pair sample of size m; the loss is 0 without want_loss."""
     i = rng.choice(pos, m)
     j = rng.choice(neg, m)
-    phi, dphi = kind.phi_dphi(scores[i] - scores[j])
+    z = scores[i] - scores[j]
+    phi, dphi = kind.phi_dphi(z) if want_loss else (None, kind.dphi(z))
     if want_grad:
         # sampled rows repeat, so their terms are summed by bincount
         d = dphi * (coeff / m)
         n = grad_scores.size
         grad_scores += np.bincount(i, weights=d, minlength=n) - np.bincount(j, weights=d, minlength=n)
-    return coeff * float(phi.mean())
+    return coeff * float(phi.mean()) if want_loss else 0.0
 
 
-def _loss_and_score_grad(scores, groups, kind, want_grad, budget=None, rng=None):
-    """Loss and d loss / d scores over _pair_groups' groups: exact, or sampled over budget pairs."""
+def _loss_and_score_grad(scores, groups, kind, want_grad, budget=None, rng=None, want_loss=True):
+    """Loss and d loss / d scores over _pair_groups' groups: exact, or sampled over budget pairs.
+
+    Without want_loss phi itself is never evaluated, and the loss is None.
+    """
     sets, pairs = groups
     grad_scores = np.zeros(scores.shape[0]) if want_grad else None
     n_pairs = sum(sets[i].size * sets[j].size for i, j, _ in pairs)
@@ -216,16 +238,16 @@ def _loss_and_score_grad(scores, groups, kind, want_grad, budget=None, rng=None)
     if budget is not None and n_pairs > budget:
         for i, j, coeff in pairs:
             m = max(1, int(round(budget * sets[i].size * sets[j].size / n_pairs)))
-            loss += _sampled_loss_grad(scores, sets[i], sets[j], kind, want_grad, grad_scores, coeff, m, rng)
-        return loss, grad_scores
+            loss += _sampled_loss_grad(scores, sets[i], sets[j], kind, want_grad, want_loss, grad_scores, coeff, m, rng)
+        return (loss if want_loss else None), grad_scores
     # the epoch's one sort: every set's distinct scores are a subset of these
     values, inv = np.unique(scores, return_inverse=True)
     sides = [(rows, *_distinct_side(values, inv[rows])) for rows in sets]
     cells = max(_block_rows(sides[i][1].size, sides[j][1].size) * sides[j][1].size for i, j, _ in pairs)
     bufs = [np.empty(cells) for _ in range(4)]
     for i, j, coeff in pairs:
-        loss += _group_loss_grad(sides[i], sides[j], kind, want_grad, grad_scores, coeff, bufs)
-    return loss, grad_scores
+        loss += _group_loss_grad(sides[i], sides[j], kind, want_grad, want_loss, grad_scores, coeff, bufs)
+    return (loss if want_loss else None), grad_scores
 
 
 def scorer_parameters(scorer: Scorer) -> list[np.ndarray]:
@@ -291,7 +313,7 @@ def surrogate_gradient(scorer: Scorer, instances: InstanceSet, labels: SampledLa
         raise NotTrainable("only Linear and MLP scorers are trainable")
     scores, acts = _forward(scorer, instances.features)
     groups = _pair_groups(labels, objective)
-    _, grad_scores = _loss_and_score_grad(scores, groups, kind, want_grad=True)
+    _, grad_scores = _loss_and_score_grad(scores, groups, kind, want_grad=True, want_loss=False)
     return _backward(scorer, instances.features, grad_scores, acts)
 
 
@@ -338,13 +360,18 @@ def train(
     config: TrainConfig,
     eval_instances: InstanceSet | None = None,
     eval_labels: SampledLabels | None = None,
+    per_epoch: bool = True,
 ) -> tuple[Scorer, list[dict]]:
     """Full-batch training, one step per epoch, deterministic per seed.
 
     When the pair count exceeds the budget, each step draws a fresh seeded
-    pair sample. The trace records the surrogate loss and the training
-    per-label AUCs after every step; the eval AUCs, when eval data is given,
-    are computed once, on the last row only.
+    pair sample. With per_epoch (the default), the trace holds one row per
+    step: the surrogate loss at the step's start and the training per-label
+    AUCs after it. Without per_epoch, the trace holds the last step's row
+    alone, with its loss and no training AUCs; earlier steps evaluate phi'
+    but not phi. Parameters and the last loss are the same bits either way.
+    The eval AUCs, when eval data is given, are computed once, on the last
+    row only.
     """
     groups = _pair_groups(labels, config.objective)
     scorer = init_scorer(instances.d, config.hidden, config.seed)
@@ -356,7 +383,8 @@ def train(
     for epoch in range(config.epochs):
         scores, acts = _forward(scorer, instances.features)
         loss, grad_scores = _loss_and_score_grad(
-            scores, groups, config.surrogate, want_grad=True, budget=config.pair_budget, rng=rng
+            scores, groups, config.surrogate, want_grad=True, budget=config.pair_budget, rng=rng,
+            want_loss=per_epoch or epoch == config.epochs - 1,
         )
         grads = _backward(scorer, instances.features, grad_scores, acts)
         if config.optimizer == "sgd":
@@ -370,9 +398,10 @@ def train(
                 v_hat = v_state[idx] / (1 - config.beta2**t)
                 params[idx] = params[idx] - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
         scorer = _rebuild(scorer, params)
-        row = {"epoch": epoch, "loss": loss}
-        row["train"] = auc_report(scorer.scores(instances), labels)
-        trace.append(row)
+        if per_epoch:
+            trace.append({"epoch": epoch, "loss": loss, "train": auc_report(scorer.scores(instances), labels)})
+    if not per_epoch:
+        trace.append({"epoch": config.epochs - 1, "loss": loss})
     if eval_instances is not None and eval_labels is not None:
         trace[-1]["eval"] = auc_report(scorer.scores(eval_instances), eval_labels)
     return scorer, trace

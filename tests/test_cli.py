@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -48,7 +49,9 @@ def test_rho_and_pi2_are_mutually_exclusive(tmp_path):
 @pytest.mark.parametrize(
     "flags, named",
     [(["--tau", "0", "--pi2", "0.7"], "--tau 0")]
-    + [(["--pi2", bad], f"--pi2 {bad}") for bad in ("1.5", "0", "-0.2", "nan")],
+    + [(["--pi2", bad], f"--pi2 {bad}") for bad in ("1.5", "0", "-0.2", "nan")]
+    + [(["--rho", "0", "--tau", "inf"], "--tau inf"), (["--rho", "0", "--tau=-2"], "--tau -2")]
+    + [(["--rho", "0,1", "--tau", "2,nan"], "--tau nan")],
 )
 def test_unreachable_sweep_targets_exit_2_before_generating(tmp_path, monkeypatch, capsys, flags, named):
     def no_data(*args, **kwargs):
@@ -151,6 +154,23 @@ def test_train_runs_on_a_dataset(dataset_csv, tmp_path):
     assert lines[0].startswith("experiment,trial,objective,auc_label1,auc_label2")
     assert len(lines) == 1 + 2 + 2  # header, trials, mean and stderr rows
     assert any(line.split(",")[1] == "mean" for line in lines[1:])
+
+
+def test_trace_out_writes_one_line_per_trial_and_epoch_and_leaves_the_csv_alone(dataset_csv, tmp_path):
+    args = ["train", "--data", str(dataset_csv), "--epochs", "4", "--trials", "3", "--resample-pi", "0:0.7", "--no-plot"]
+    assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
+    trace = tmp_path / "trace.jsonl"
+    assert main(args + ["--out", str(tmp_path / "traced.csv"), "--trace-out", str(trace)]) == 0
+    assert not (tmp_path / "plain.jsonl").exists()
+    assert _stable_bytes(tmp_path / "traced.csv") == _stable_bytes(tmp_path / "plain.csv")
+    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [(line["trial"], line["epoch"]) for line in lines] == [(t, e) for t in range(3) for e in range(4)]
+    assert all(list(line) == ["trial", "epoch", "loss", "train_auc"] for line in lines)
+    assert all(len(line["train_auc"]) == 2 and all(0.0 <= a <= 1.0 for a in line["train_auc"]) for line in lines)
+    # each trial's last line carries the CSV's final_loss
+    with open(tmp_path / "plain.csv", newline="") as fh:
+        final = [float(row["final_loss"]) for row in csv.DictReader(fh) if row["trial"].isdigit()]
+    assert [line["loss"] for line in lines if line["epoch"] == 3] == final
 
 
 def test_train_objective_parsing_errors_exit_2_or_3(dataset_csv, tmp_path):

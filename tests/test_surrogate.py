@@ -386,3 +386,68 @@ def test_each_full_pair_call_sorts_the_scores_once(monkeypatch):
         calls.clear()
         _loss_and_score_grad(scores, groups, Logistic(), True, budget=1, rng=np.random.default_rng(0))
         assert calls == []  # the sampled path needs no distinct values
+
+
+@pytest.mark.parametrize("kind", [Logistic(), Hinge()])
+def test_dphi_alone_matches_phi_dphi_byte_for_byte(kind):
+    z = np.concatenate([np.linspace(-800.0, 800.0, 20_001), [0.0, -0.0, np.inf, -np.inf, 709.5, -709.5, 1e300, -1e300]])
+    want = kind.phi_dphi(z)[1]
+    assert kind.dphi(z).tobytes() == want.tobytes()
+    e, dphi = np.empty_like(z), np.empty_like(z)
+    assert kind.dphi(z, out=(e, dphi)) is dphi
+    assert dphi.tobytes() == want.tobytes()
+
+
+def _train_both_ways(kind, budget, hidden):
+    inst, labels = _dataset(13, n=40)
+    config = TrainConfig(
+        objective=LabelAgg(Sum(), CostMatrix.absdiff(3)), surrogate=kind, epochs=12, lr=0.05,
+        pair_budget=budget, hidden=hidden, seed=4,
+    )
+    eval_inst, eval_labels = _dataset(14, n=30)
+    return [train(inst, labels, config, eval_inst, eval_labels, per_epoch=per_epoch) for per_epoch in (True, False)]
+
+
+@pytest.mark.parametrize("kind", [Logistic(), Hinge()])
+@pytest.mark.parametrize("budget", [250_000, 50])  # every epoch exact, or every epoch sampled
+@pytest.mark.parametrize("hidden", [(), (4,)])
+def test_untraced_training_matches_the_traced_run_bit_for_bit(kind, budget, hidden):
+    (traced, full), (untraced, last) = _train_both_ways(kind, budget, hidden)
+    for got, want in zip(scorer_parameters(untraced), scorer_parameters(traced)):
+        assert got.tobytes() == want.tobytes()
+    assert len(full) == 12 and [list(row) for row in last] == [["epoch", "loss", "eval"]]
+    assert last[0]["epoch"] == full[-1]["epoch"] == 11
+    assert last[0]["loss"] == full[-1]["loss"]
+    got, want = last[0]["eval"], full[-1]["eval"]
+    assert got.per_label.tobytes() == want.per_label.tobytes()
+    assert (got.diff, got.min) == (want.diff, want.min)
+
+
+@pytest.mark.parametrize("budget", [250_000, 50])
+def test_untraced_training_reports_once_and_evaluates_phi_in_its_last_epoch_only(budget, monkeypatch):
+    inst, labels = _dataset(15, n=40)
+    epochs = 7
+    config = TrainConfig(objective=LossAgg((1.0, 2.0)), epochs=epochs, pair_budget=budget)
+    reports, loss_calls, log1p_calls = [], [], []
+    real_report, real_loss, real_log1p = surrogate.auc_report, surrogate._loss_and_score_grad, np.log1p
+
+    def counting_report(*args):
+        reports.append(args)
+        return real_report(*args)
+
+    def counting_loss(*args, **kwargs):
+        loss_calls.append(kwargs.get("want_loss", True))
+        return real_loss(*args, **kwargs)
+
+    def counting_log1p(*args, **kwargs):
+        log1p_calls.append(len(loss_calls) - 1)  # the epoch the call falls in
+        return real_log1p(*args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "auc_report", counting_report)
+    monkeypatch.setattr(surrogate, "_loss_and_score_grad", counting_loss)
+    monkeypatch.setattr(np, "log1p", counting_log1p)
+    _, trace = train(inst, labels, config, inst, labels, per_epoch=False)
+    assert len(reports) == 1  # the eval report
+    assert loss_calls == [False] * (epochs - 1) + [True]
+    assert log1p_calls and set(log1p_calls) == {epochs - 1}
+    assert trace[-1]["loss"] is not None
