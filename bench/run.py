@@ -6,6 +6,8 @@ the median and quartiles of its repeats. Cases:
 - ``auc_report_k2_n<n>``: ``metrics.auc_report`` of tie-free scores against
   two sampled 0/1 labels, n in {1e3, 1e5, 1e6}; seconds per call, over
   1e6 / n calls per repeat;
+- ``auc_report_k2_n100000_ties``: the n=1e5 case with its scores rounded to
+  3 decimals, so that runs of tied scores are grouped;
 - ``solve_rho_default_sweep_n100000``: ``cli._solve_rho_for_pi2`` for the
   twelve (tau, pi2) points of ``skew-sweep`` at its defaults (seed 0);
   seconds for all twelve;
@@ -109,6 +111,11 @@ def measure() -> dict:
         cases[f"auc_report_k2_n{n}"] = _timings(
             lambda: auc_report(scores, labels), number=1_000_000 // n, repeats=REPEATS
         )
+        if n == 100_000:
+            tied = scores.round(3)
+            cases[f"auc_report_k2_n{n}_ties"] = _timings(
+                lambda: auc_report(tied, labels), number=1_000_000 // n, repeats=REPEATS
+            )
     feats = gen_sigmoid_pair(SigmoidSynthConfig(100_000, 1.0, 0.0, 0)).instances.features
 
     def sweep_solves():

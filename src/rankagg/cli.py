@@ -136,18 +136,26 @@ def _load_config(path) -> dict[str, str]:
 
 
 def _merge(args: argparse.Namespace, options: dict) -> argparse.Namespace:
-    """Fill None flags from the config file, then from builtin defaults."""
+    """Fill None flags from the config file, then from builtin defaults.
+
+    args.sources maps each option to where its value came from: "flag",
+    "config" or "default".
+    """
     config = _load_config(args.config) if args.config else {}
     unknown = sorted(set(config) - {name for key in options for name in (key, key.replace("_", "-"))})
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys {', '.join(unknown)}")
+    args.sources = {}
     for key, (parse, default, _) in options.items():
         if getattr(args, key) is not None:
+            args.sources[key] = "flag"
             continue
         name = next((name for name in (key.replace("_", "-"), key) if name in config), None)
         if name is None:
+            args.sources[key] = "default"
             setattr(args, key, default)
             continue
+        args.sources[key] = "config"
         try:
             setattr(args, key, parse(config[name]))
         except ValueError as exc:
@@ -189,10 +197,12 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
 
     1. A few safeguarded Newton steps, slope -tau * mean(s (1 - s)), find an
        approximate root r.
-    2. With delta = 1e-10 * max(1, |r|), a = r - delta is a known lower
-       bound if its computed mean exceeds target + M, and b = r + delta a
-       known upper bound if its computed mean is below target - M
-       (M = _CLEARANCE = 1e-12). A side that does not clear stays unknown.
+    2. With delta = 4 M / |slope| for the last finite negative Newton slope
+       (M = _CLEARANCE = 1e-12), so that each side's mean sits about 4 M
+       from the target, or else delta = 1e-10 * max(1, |r|), a = r - delta
+       is a known lower bound if its computed mean exceeds target + M, and
+       b = r + delta a known upper bound if its computed mean is below
+       target - M. A side that does not clear stays unknown.
     3. The bisection is replayed: a step with mid <= a goes up and one with
        mid >= b goes down without evaluating; every other step evaluates as
        the plain bisection does.
@@ -223,7 +233,7 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
                 r = step
                 break
             r = step if lo < step < hi else 0.5 * (lo + hi)
-        delta = 1e-10 * max(1.0, abs(r))
+        delta = 4.0 * _CLEARANCE / -slope if -np.inf < slope < 0.0 else 1e-10 * max(1.0, abs(r))
         a = r - delta if _mean_sigmoid(r - delta, x, tau, buf) > target + _CLEARANCE else -np.inf
         b = r + delta if _mean_sigmoid(r + delta, x, tau, buf) < target - _CLEARANCE else np.inf
 
@@ -276,10 +286,15 @@ def cmd_skew_sweep(args) -> int:
     if args.rho is not None and args.pi2 is not None:
         print("give --rho or --pi2, not both", file=sys.stderr)
         return _EXIT_FLAGS
-    bad = [f"--pi2 {p:g}" for p in args.pi2 or () if not 0.0 < p < 1.0]
-    bad += [f"--tau {t:g}" for t in args.tau if not 0.0 < t < np.inf]
+    bad = [("pi2", p) for p in args.pi2 or () if not 0.0 < p < 1.0]
+    bad += [("tau", t) for t in args.tau if not 0.0 < t < np.inf]
     if bad:
-        print(f"{', '.join(bad)}: the sweep needs a finite tau > 0 and targets 0 < pi2 < 1", file=sys.stderr)
+        need = "the sweep needs a finite tau > 0 and targets 0 < pi2 < 1"
+        # bad config values are data errors, as in _merge; bad flags are flag errors
+        in_config = [f"{key}={value:g}" for key, value in bad if args.sources[key] == "config"]
+        if in_config:
+            raise ValueError(f"{args.config}: {', '.join(in_config)}: {need}")
+        print(f"{', '.join(f'--{key} {value:g}' for key, value in bad)}: {need}", file=sys.stderr)
         return _EXIT_FLAGS
     feats, uniforms = _sigmoid_draws(args.n, args.seed)
     rows = []

@@ -9,11 +9,13 @@ Conventions, kept consistent per path:
     every finite score (ties among +inf entries count 1/2); NaN scores are
     rejected with ValueError.
 
-Every AUC is a weighted pair sum sum_ij u_i v_j H(s_i - s_j) and goes
-through one sort-and-cumulative-sum kernel. A population objective's pair
-weights are W = u v^T of the same weight columns; population_pair_weights
-builds that dense n x n matrix only for the exhaustive oracle, which
-evaluates it against h_matrix.
+Every AUC goes through one sort-and-tie-grouping front end, _ranked. Sampled
+0/1 labels then count their pairs exactly as integer Mann-Whitney rank sums;
+every other AUC is a weighted pair sum sum_ij u_i v_j H(s_i - s_j), reduced
+by weighted cumulative sums. A population objective's pair weights are
+W = u v^T of the same weight columns; population_pair_weights builds that
+dense n x n matrix only for the exhaustive oracle, which evaluates it
+against h_matrix.
 """
 
 from __future__ import annotations
@@ -68,31 +70,39 @@ def _scores_array(scores) -> np.ndarray:
     return np.asarray(scores, dtype=float)
 
 
-def _pair_sums(scores, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted pair counts for each weight row l of u and v (both L x n).
-
-    Returns (sums, pairs): sums[l] = sum_ij u[l, i] v[l, j] H(s_i - s_j)
-    over all ordered pairs, and pairs[l] = sum_i u[l, i] * sum_j v[l, j].
-    One sort groups exact ties; per group, U_g . (V strictly below + V_g / 2)
-    is the weighted Mann-Whitney count. Pairs i = j count 1/2, so callers
-    with i != j conventions pass weights that vanish on the diagonal.
-    Any memory layout gives the same bits; C-contiguous rows gather fastest.
-    """
+def _ranked(scores, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sort order of n scores and the start of each run of exactly tied
+    sorted scores, or None when no two scores tie."""
     s = _scores_array(scores)
-    if s.shape[0] != u.shape[1]:
-        raise ValueError(f"{s.shape[0]} scores for {u.shape[1]} instances")
-    if s.shape[0] == 0:
+    if s.shape[0] != n:
+        raise ValueError(f"{s.shape[0]} scores for {n} instances")
+    if n == 0:
         raise DegenerateLabel("no instances to rank")
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
     order = np.argsort(s)
     ranked = s[order]
+    new_value = ranked[1:] != ranked[:-1]
+    if new_value.all():
+        return order, None
+    return order, np.flatnonzero(np.concatenate(([True], new_value)))
+
+
+def _pair_sums(scores, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted pair counts for each weight row l of u and v (both L x n).
+
+    Returns (sums, pairs): sums[l] = sum_ij u[l, i] v[l, j] H(s_i - s_j)
+    over all ordered pairs, and pairs[l] = sum_i u[l, i] * sum_j v[l, j].
+    Per run of tied scores g, U_g . (V strictly below + V_g / 2) is the
+    weighted Mann-Whitney count. Pairs i = j count 1/2, so callers
+    with i != j conventions pass weights that vanish on the diagonal.
+    Any memory layout gives the same bits; C-contiguous rows gather fastest.
+    """
+    order, starts = _ranked(scores, u.shape[1])
     u_groups = np.take(u, order, axis=1)
     v_groups = np.take(v, order, axis=1)
-    new_value = ranked[1:] != ranked[:-1]
-    if not new_value.all():
-        # sum each run of tied scores into one column; without ties every run is one column
-        starts = np.flatnonzero(np.concatenate(([True], new_value)))
+    if starts is not None:
+        # sum each run of tied scores into one column
         u_groups = np.add.reduceat(u_groups, starts, axis=1)
         v_groups = np.add.reduceat(v_groups, starts, axis=1)
     cumulative = np.cumsum(v_groups, axis=1)
@@ -106,6 +116,34 @@ def _pair_sums(scores, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
     return terms.sum(axis=1), u_groups.sum(axis=1) * cumulative[:, -1]
 
 
+def _label_aucs(scores, labels) -> np.ndarray:
+    """Per-column AUCs of an n x K 0/1 label matrix, counted as integer rank sums.
+
+    A positive in the run of tied sorted scores g (0-based start b_g, size
+    m_g) has twice its midrank equal to 2 b_g + m_g - 1, or 2i at sorted
+    position i without ties. Twice the Mann-Whitney count is then
+    2S = sum over positives of twice the midrank - P (P - 1) for P
+    positives, exact in int64, and the AUC is (2S / 2) / (P N) for N
+    negatives. The float pair sums of the same 0/1 weights are half-integers
+    below 2^53, so they are exact too and give these bits.
+    """
+    rows = np.ascontiguousarray(np.asarray(labels).T, dtype=bool)
+    n = rows.shape[1]
+    order, starts = _ranked(scores, n)
+    n_pos = np.count_nonzero(rows, axis=1)
+    n_neg = n - n_pos
+    bad = np.flatnonzero((n_pos == 0) | (n_neg == 0))
+    if bad.size:
+        raise DegenerateLabel(f"label {bad[0]} needs positive and negative examples")
+    if starts is None:
+        twice_rank = np.arange(0, 2 * n, 2)
+    else:
+        sizes = np.diff(starts, append=n)
+        twice_rank = np.repeat(2 * starts + sizes - 1, sizes)
+    twice_count = np.take(rows, order, axis=1) @ twice_rank - n_pos * (n_pos - 1)
+    return (twice_count / 2) / (n_pos * n_neg)
+
+
 def _bipartite_aucs(scores, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     """Per-row AUCs for positive and negative weight rows (K x n)."""
     sums, pairs = _pair_sums(scores, pos, neg)
@@ -117,8 +155,10 @@ def _bipartite_aucs(scores, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
 
 def bipartite_auc_empirical(scores, labels) -> float:
     """Fraction of (positive, negative) pairs ranked correctly, ties half."""
-    y = np.asarray(labels)[None, :]
-    return float(_bipartite_aucs(scores, (y == 1).astype(float), (y == 0).astype(float))[0])
+    y = np.asarray(labels)
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("bipartite labels must be 0/1")
+    return float(_label_aucs(scores, y[:, None])[0])
 
 
 def bipartite_auc_population(scores, eta_column) -> float:
@@ -148,6 +188,8 @@ def _multipartite(scores, probs: np.ndarray, costs: CostMatrix) -> float:
 def multipartite_auc(scores, ordinal_labels, costs: CostMatrix) -> float:
     """Cost-weighted pair accuracy over ordinal labels, normalized to [0, 1]."""
     y = np.asarray(ordinal_labels)
+    if not ((y >= 0) & (np.mod(y, 1) == 0)).all():
+        raise ValueError("ordinal labels must be non-negative integers")
     return _multipartite(scores, (y[:, None] == np.arange(y.max() + 1)).astype(float), costs)
 
 
@@ -157,9 +199,7 @@ def multipartite_auc_population(scores, dist: AggregateDistribution, costs: Cost
 
 def _per_label_auc(scores, model) -> np.ndarray:
     if isinstance(model, SampledLabels):
-        lab = model.labels.T
-        pos = np.equal(lab, 1, out=np.empty(lab.shape))  # labels are 0/1, so 1 - pos marks label 0
-        return _bipartite_aucs(scores, pos, 1.0 - pos)
+        return _label_aucs(scores, model.labels)
     if isinstance(model, EtaTable):
         eta = np.ascontiguousarray(model.eta.T)
         return _bipartite_aucs(scores, eta, 1.0 - eta)

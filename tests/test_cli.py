@@ -64,6 +64,23 @@ def test_unreachable_sweep_targets_exit_2_before_generating(tmp_path, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "lines, named",
+    [("tau=inf", "tau=inf"), ("pi2=1.5", "pi2=1.5"), ("tau=2,nan", "tau=nan"), ("rho=0\ntau=-2", "tau=-2")],
+)
+def test_unreachable_sweep_targets_in_config_exit_3_before_generating(tmp_path, monkeypatch, capsys, lines, named):
+    def no_data(*args, **kwargs):
+        raise AssertionError("generated data")
+
+    monkeypatch.setattr(cli, "_sigmoid_draws", no_data)
+    config = tmp_path / "bad.cfg"
+    config.write_text(lines + "\n")
+    out = tmp_path / "o.csv"
+    assert main(["skew-sweep", "--out", str(out), "--n", "2000", "--no-plot", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {config}: {named}: the sweep needs")
+    assert not out.exists()
+
+
 def test_sweep_target_outside_the_rho_bracket_exits_3(tmp_path, capsys):
     out = tmp_path / "o.csv"
     code = main(["skew-sweep", "--out", str(out), "--tau", "0.01", "--pi2", "0.7", "--n", "2000", "--no-plot"])
@@ -287,10 +304,11 @@ def test_train_trials_rerun_byte_identical(dataset_csv, tmp_path):
 
 @pytest.mark.parametrize("command", sorted(cli._OPTIONS))
 def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, monkeypatch):
-    resolved = []
+    resolved, sources = [], []
 
     def record(args):
-        resolved.append({k: v for k, v in vars(args).items() if k not in ("config", "fn")})
+        resolved.append({k: v for k, v in vars(args).items() if k not in ("config", "fn", "sources")})
+        sources.append(args.sources)
         return 0
 
     monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), record)
@@ -309,6 +327,8 @@ def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, 
         config.write_text("".join(f"{spell(key)}={text}\n" for key, text in values.items()))
         assert main(base + ["--config", str(config)]) == 0
     assert len(resolved) == 3 and resolved[0] == resolved[1] == resolved[2]
+    assert [set(run.values()) for run in sources] == [{"flag"}, {"config"}, {"config"}]
+    assert all(run.keys() == cli._OPTIONS[command].keys() for run in sources)
     for key, (parse, default, _) in cli._OPTIONS[command].items():
         assert resolved[0][key] == parse(values[key]) != default
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,81 @@ def test_degenerate_labels_raise():
         bipartite_auc_population(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
     with pytest.raises(DegenerateLabel):
         multipartite_auc(np.array([1.0, 2.0]), np.array([1, 1]), CostMatrix.uniform(2))
+
+
+def _indicator_aucs(s, y):
+    """AUCs of the 0/1 label columns of y through the weighted pair kernel on float indicators."""
+    pos = np.ascontiguousarray(y.T, dtype=float)
+    sums, pairs = metrics._pair_sums(s, pos, 1.0 - pos)
+    return sums, pairs
+
+
+@pytest.mark.parametrize("kind", ["distinct", "rounded", "infinite", "all tied"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_rank_sums_equal_the_weighted_pair_kernel(n, K, kind):
+    rng = np.random.default_rng([n, K])
+    s = rng.standard_normal(n)
+    if kind == "rounded":
+        s = s.round(1)
+    elif kind == "infinite":
+        s = s.round(0)
+        s[rng.random(n) < 0.2] = np.inf
+        s[rng.random(n) < 0.2] = -np.inf
+    elif kind == "all tied":
+        s = np.full(n, 0.5)
+    y = rng.integers(0, 2, (n, K))
+    if n == 1:
+        assert (_indicator_aucs(s, y)[1] == 0.0).all()
+        with pytest.raises(DegenerateLabel):
+            metrics._label_aucs(s, y)
+        return
+    y[0], y[1] = 1, 0
+    sums, pairs = _indicator_aucs(s, y)
+    assert (metrics._label_aucs(s, y) == sums / pairs).all()
+
+
+def _fraction_auc(s, y):
+    pos = [a for a, label in zip(s, y) if label]
+    neg = [b for b, label in zip(s, y) if not label]
+    wins = sum(Fraction(1) if a > b else Fraction(1, 2) if a == b else Fraction(0) for a in pos for b in neg)
+    return wins / (len(pos) * len(neg))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_tie_values, min_size=2, max_size=12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_rank_sums_match_a_brute_force_fraction_count(values, K, seed):
+    s = np.array(values)
+    y = np.random.default_rng(seed).integers(0, 2, (s.size, K))
+    y[0], y[1] = 1, 0
+    got = metrics._label_aucs(s, y)
+    for k in range(K):
+        assert got[k] == float(_fraction_auc(s, y[:, k]))
+
+
+def test_rank_sums_reject_bad_scores_and_name_one_class_labels():
+    y = np.array([[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="NaN"):
+        metrics._label_aucs(np.array([0.0, np.nan, 1.0]), y)
+    with pytest.raises(ValueError, match="2 scores for 3 instances"):
+        metrics._label_aucs(np.array([0.0, 1.0]), y)
+    with pytest.raises(DegenerateLabel, match="no instances"):
+        metrics._label_aucs(np.array([]), np.zeros((0, 2), dtype=int))
+    with pytest.raises(DegenerateLabel, match="label 1 "):
+        auc_report(np.array([0.0, 1.0, 2.0]), SampledLabels(np.array([[1, 1], [0, 1], [1, 1]])))
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, -1])
+def test_bipartite_labels_outside_0_1_are_rejected(bad):
+    with pytest.raises(ValueError, match="0/1"):
+        bipartite_auc_empirical([0.3, 0.1, 0.2, 0.5], [bad, 0, 1, 0])
+
+
+@pytest.mark.parametrize("bad", [-1, 0.5])
+def test_ordinal_labels_must_be_non_negative_integers(bad):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        multipartite_auc([0.3, 0.1, 0.2, 0.5], [bad, 0, 1, 2], CostMatrix.absdiff(3))
+    assert multipartite_auc([0.3, 0.1, 0.2, 0.5], [2.0, 0.0, 1.0, 2.0], CostMatrix.absdiff(3)) == 1.0
 
 
 def test_loss_agg_auc_is_weighted_sum():
