@@ -136,7 +136,7 @@ def _label_aucs(scores, labels) -> np.ndarray:
     if bad.size:
         raise DegenerateLabel(f"label {bad[0]} needs positive and negative examples")
     if starts is None:
-        twice_rank = np.arange(0, 2 * n, 2)
+        twice_rank = np.arange(0, 2 * n, 2, dtype=np.int64)
     else:
         sizes = np.diff(starts, append=n)
         twice_rank = np.repeat(2 * starts + sizes - 1, sizes)

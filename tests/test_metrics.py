@@ -236,7 +236,7 @@ def test_degenerate_labels_raise():
 
 
 def _indicator_aucs(s, y):
-    """AUCs of the 0/1 label columns of y through the weighted pair kernel on float indicators."""
+    """Pair sums and pair counts of the 0/1 label columns of y, from the weighted kernel on float indicators."""
     pos = np.ascontiguousarray(y.T, dtype=float)
     sums, pairs = metrics._pair_sums(s, pos, 1.0 - pos)
     return sums, pairs
