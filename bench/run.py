@@ -11,6 +11,8 @@ the median and quartiles of its repeats. Cases:
 - ``solve_rho_default_sweep_n100000``: ``cli._solve_rho_for_pi2`` for the
   twelve (tau, pi2) points of ``skew-sweep`` at its defaults (seed 0);
   seconds for all twelve;
+- ``scale_condition_absdiff_m8``: ``bayes.scale_condition_holds`` on
+  ``CostMatrix.absdiff(8)``; seconds per call;
 - ``surrogate_loss_grad_n600``: one exact logistic loss plus score gradient
   (``surrogate._loss_and_score_grad``) for ``labelagg:absdiff`` at the
   scores of a fixed linear scorer; seconds per call;
@@ -95,7 +97,8 @@ def _timings(fn, number: int, repeats: int, units: int = 1) -> dict:
 
 def measure() -> dict:
     """Timings of every case, keyed by case name."""
-    from rankagg import SampledLabels, SigmoidSynthConfig, gen_sigmoid_pair
+    from rankagg import CostMatrix, SampledLabels, SigmoidSynthConfig, gen_sigmoid_pair
+    from rankagg.bayes import scale_condition_holds
     from rankagg.cli import _solve_rho_for_pi2
     from rankagg.metrics import auc_report
 
@@ -124,6 +127,8 @@ def measure() -> dict:
                 _solve_rho_for_pi2(feats, tau, target)
 
     cases["solve_rho_default_sweep_n100000"] = _timings(sweep_solves, number=1, repeats=REPEATS)
+    absdiff = CostMatrix.absdiff(8)
+    cases["scale_condition_absdiff_m8"] = _timings(lambda: scale_condition_holds(absdiff), number=100, repeats=REPEATS)
     return cases
 
 

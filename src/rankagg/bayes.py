@@ -101,59 +101,31 @@ def label_agg_uniform_cost_scorer_k2(eta: EtaTable) -> TableScorer:
 def scale_condition_holds(costs: CostMatrix) -> bool:
     """Whether c[y, y'] factorizes as w_y * w_y' * (s_y - s_y') with w > 0.
 
-    Checked constructively: fix the gauge w_0 = 1, s_0 = 0, read
-    u_y = w_y * s_y off the first column, then search the affine solution
-    set of the remaining bilinear relations (linear in w given u) for a
-    strictly positive w via a small linear program. The relations can be
-    singular (absolute-difference costs admit a whole line of solutions),
-    so a single least-squares pick would wrongly reject valid matrices.
-    Entries are verified within relative tolerance 1e-8.
+    Only entries below the diagonal count. Fix the gauge w_0 = 1, s_0 = 0
+    and read u_y = w_y * s_y = c[y, 0]; every entry then asks
+    c[y, y'] = w_y' * u_y - w_y * u_y', which is linear in w. If u = 0,
+    every entry must be 0. Otherwise the relations through the level j with
+    the largest u_j give each weight as w = p * t + q in t = w_j, with
+    p = u / u_j >= 0. The t terms cancel in every other relation (w + x * u
+    fits the same entries as w), so each one holds for all t or for none:
+    absolute-difference costs admit a whole line of weights. The weights
+    with p = 0, w_0 = 1 among them, stay fixed and the others grow with t,
+    so min w is as large as it gets once every growing weight reaches 1. At
+    that w every entry must match within relative tolerance 1e-8 and min w
+    must exceed 1e-8. The check is O(m^2).
     """
-    # imported here: scipy.optimize costs a noticeable share of process start-up
-    from scipy.optimize import linprog
-
     c = costs.costs
-    m = c.shape[0]
-    if m <= 2:
-        return True
-    u = np.concatenate([[0.0], c[1:, 0]])  # u_0 = w_0 * s_0 = 0 by the gauge
-    rows, rhs = [], []
-    for y in range(2, m):
-        for yp in range(1, y):
-            # c[y, yp] = w_yp * u_y - w_y * u_yp
-            row = np.zeros(m - 1)
-            row[yp - 1] += u[y]
-            row[y - 1] -= u[yp]
-            rows.append(row)
-            rhs.append(c[y, yp])
-    if not rows:
-        return True
-    a = np.asarray(rows)
-    b = np.asarray(rhs)
-    # maximize the smallest weight t subject to the relations; t capped so
-    # the program stays bounded when the solution set is a ray
-    n_w = m - 1
-    objective = np.zeros(n_w + 1)
-    objective[-1] = -1.0
-    a_ub = np.hstack([-np.eye(n_w), np.ones((n_w, 1))])  # t - w_y <= 0
-    result = linprog(
-        objective,
-        A_ub=a_ub,
-        b_ub=np.zeros(n_w),
-        A_eq=np.hstack([a, np.zeros((a.shape[0], 1))]),
-        b_eq=b,
-        bounds=[(None, None)] * n_w + [(None, 1.0)],
-    )
-    if not result.success or result.x[-1] <= _SCALE_TOL:
-        return False
-    w = np.concatenate([[1.0], result.x[:n_w]])
-    scale = max(1.0, float(np.abs(c).max()))
-    for y in range(1, m):
-        for yp in range(y):
-            pred = w[yp] * u[y] - w[y] * u[yp] if yp > 0 else u[y]
-            if abs(pred - c[y, yp]) > _SCALE_TOL * scale:
-                return False
-    return True
+    tol = _SCALE_TOL * max(1.0, float(np.abs(c).max()))
+    lower = np.tril(c, -1)
+    a = lower - lower.T  # a[y, y'] = w_y' * u_y - w_y * u_y' for every pair
+    u = a[:, 0]
+    j = int(np.argmax(u))
+    if u[j] == 0.0:
+        return bool(np.abs(lower).max() <= tol)
+    p, q = u / u[j], -a[:, j] / u[j]
+    grows = p > 0.0
+    w = p * np.max((1.0 - q[grows]) / p[grows]) + q
+    return bool(w.min() > _SCALE_TOL and np.abs(np.outer(u, w) - np.outer(w, u) - a).max() <= tol)
 
 
 def multipartite_bayes_scorer(class_probs: np.ndarray, costs: CostMatrix) -> TableScorer:
@@ -191,7 +163,7 @@ class DictatorshipReport:
     violations: tuple
 
 
-def dictatorship_analysis(alphas, eta: EtaTable | None = None, weights=None) -> DictatorshipReport:
+def dictatorship_analysis(alphas, eta: EtaTable | None = None) -> DictatorshipReport:
     """Identify the dominating label for K=2 influence coefficients.
 
     With deterministic eta also checks the implied constraint: every

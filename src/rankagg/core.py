@@ -463,8 +463,9 @@ def aggregate_labels(labels: SampledLabels, aggregator: Aggregator) -> np.ndarra
         if len(aggregator.alphas) != labels.K:
             raise ValueError("weight count must match K")
         raw = lab @ np.asarray(aggregator.alphas)
-        # dense ordinal alphabet over the observed distinct values
-        _, ordinal = np.unique(raw, return_inverse=True)
+        # dense ordinal alphabet over the observed distinct values, with sums
+        # equal to 12 decimals counted as one, as in aggregate_distribution
+        _, ordinal = np.unique(np.round(raw, 12), return_inverse=True)
         return ordinal
     raise TypeError(f"unknown aggregator {aggregator!r}")
 

@@ -2,6 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from rankagg import (
     CostMatrix,
@@ -21,7 +25,7 @@ from rankagg import (
     partial_order_over_combos,
     product_agg_bayes_scorer,
 )
-from rankagg.bayes import scale_condition_holds
+from rankagg.bayes import _SCALE_TOL, scale_condition_holds
 
 
 def _rank_order(values):
@@ -93,6 +97,88 @@ def test_scale_condition():
         [[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 10, 0]]
     )
     assert not scale_condition_holds(bad)
+
+
+def _linprog_scale_condition(c):
+    """Reference: the scale condition as a linear program over the weights.
+
+    Same gauge as the closed form (w_0 = 1, s_0 = 0, u_y = c[y, 0]); the
+    relations c[y, y'] = w_y' * u_y - w_y * u_y' are equality constraints,
+    and the program maximizes the smallest weight, capped at 1.
+    """
+    m = c.shape[0]
+    u = np.concatenate([[0.0], c[1:, 0]])
+    rows, rhs = [], []
+    for y in range(2, m):
+        for yp in range(1, y):
+            row = np.zeros(m - 1)
+            row[yp - 1] += u[y]
+            row[y - 1] -= u[yp]
+            rows.append(row)
+            rhs.append(c[y, yp])
+    n_w = m - 1
+    objective = np.zeros(n_w + 1)
+    objective[-1] = -1.0
+    result = linprog(
+        objective,
+        A_ub=np.hstack([-np.eye(n_w), np.ones((n_w, 1))]),  # t - w_y <= 0
+        b_ub=np.zeros(n_w),
+        A_eq=np.hstack([np.asarray(rows), np.zeros((len(rows), 1))]),
+        b_eq=np.asarray(rhs),
+        bounds=[(None, None)] * n_w + [(None, 1.0)],
+    )
+    if not result.success or result.x[-1] <= _SCALE_TOL:
+        return False
+    w = np.concatenate([[1.0], result.x[:n_w]])
+    scale = max(1.0, float(np.abs(c).max()))
+    for y in range(1, m):
+        for yp in range(y):
+            pred = w[yp] * u[y] - w[y] * u[yp] if yp > 0 else u[y]
+            if abs(pred - c[y, yp]) > _SCALE_TOL * scale:
+                return False
+    return True
+
+
+@st.composite
+def _cost_matrices(draw):
+    """Lower-triangular costs with m in 3..8, far from the 1e-8 tolerance.
+
+    Factorizable matrices take w in [0.5, 2] and s with gaps 0 (ties) or in
+    [0.25, 2], so nonzero entries lie in [1/16, 56]; a perturbation zeroes an
+    entry or scales it by at least 1 + 1e-4, so it moves that entry by more
+    than 10x the tolerance.
+    """
+    m = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(["factorizable", "zeroed", "scaled", "integer", "first_column_zero"]))
+    if kind == "integer":
+        return np.tril(draw(arrays(np.float64, (m, m), elements=st.integers(0, 3))), -1)
+    w = draw(arrays(np.float64, m, elements=st.floats(0.5, 2.0)))
+    gaps = draw(arrays(np.float64, m - 1, elements=st.just(0.0) | st.floats(0.25, 2.0)))
+    s = np.concatenate([[0.0], np.cumsum(gaps)])
+    c = np.tril(np.outer(w, w) * (s[:, None] - s[None, :]), -1)
+    y = draw(st.integers(1, m - 1))
+    yp = draw(st.integers(0, y - 1))
+    if kind == "zeroed":
+        c[y, yp] = 0.0
+    elif kind == "scaled":
+        c[y, yp] *= 1.0 + draw(st.floats(1e-4, 1.0))
+    elif kind == "first_column_zero":
+        c[:, 0] = 0.0
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cost_matrices())
+def test_scale_condition_matches_linear_program(c):
+    assert scale_condition_holds(CostMatrix(c)) == _linprog_scale_condition(c)
+
+
+def test_scale_condition_accepts_perturbations_within_tolerance():
+    c = CostMatrix.absdiff(5).costs.copy()  # max |c| = 4: tolerance 4e-8
+    c[4, 2] = 2.0 + 1e-8
+    assert scale_condition_holds(CostMatrix(c))
+    c[4, 2] = 2.0 + 1e-6
+    assert not scale_condition_holds(CostMatrix(c))
 
 
 def test_multipartite_scorer_rejects_unfactorizable_large_alphabets():

@@ -446,3 +446,23 @@ def test_sweep_run_loads_no_scipy(tmp_path):
     argv = ["skew-sweep", "--out", str(out), "--n", "300", "--pi2", "0.5,0.9", "--no-plot"]
     assert _scipy_modules_after(f"from rankagg.cli import main; assert main({argv!r}) == 0") == "[]"
     assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2  # header, 2 taus x 2 targets x 2 methods
+
+
+def test_runs_with_scipy_blocked(dataset_csv, tmp_path):
+    # a None entry in sys.modules makes every scipy import raise, as on a numpy-only install
+    runs = [
+        ["skew-sweep", "--n", "300", "--pi2", "0.5,0.9"],
+        ["train", "--data", str(dataset_csv), "--epochs", "3"],
+        ["oracle", "--n", "25", "--seed", "2", "--weights-grid", "2"],
+        ["bound", "--n", "4", "--K", "2,4"],
+    ]
+    argvs = [[command, "--out", str(tmp_path / f"{command}.csv"), *rest] for command, *rest in runs]
+    statements = (
+        "sys.modules['scipy'] = None; import numpy as np; import rankagg; "
+        "from rankagg import CostMatrix, multipartite_bayes_scorer; from rankagg.cli import main; "
+        "assert all(np.isfinite(multipartite_bayes_scorer(np.full((3, L), 1.0 / L), CostMatrix.absdiff(L)).scores()).all() for L in (4, 5)); "
+        f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0, 0]; "
+        "del sys.modules['scipy']"
+    )
+    assert _scipy_modules_after(statements) == "[]"
+    assert all((tmp_path / f"{command}.csv").exists() for command, *_ in runs)

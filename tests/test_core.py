@@ -12,6 +12,8 @@ from rankagg import (
     EtaTable,
     InstanceSet,
     JointLabelModel,
+    LabelAgg,
+    Logistic,
     LossAgg,
     PriorVector,
     SampledLabels,
@@ -24,8 +26,10 @@ from rankagg import (
     aggregate_labels,
     alpha_vector,
     gap_bound,
+    label_agg_auc,
     label_agg_bayes_scorer_weighted,
     loss_agg_auc,
+    surrogate_objective,
 )
 
 eta_tables = arrays(
@@ -111,6 +115,22 @@ def test_weighted_sum_labels_map_to_dense_ordinals():
     ordinal = aggregate_labels(labels, WeightedSum((2.0, 1.0)))
     # raw values (2, 1, 3) rank to (1, 0, 2)
     assert ordinal.tolist() == [1, 0, 2]
+
+
+def test_weighted_sum_labels_group_sums_equal_to_12_decimals():
+    # 0.1 + 0.2 and 0.3 differ in the last bit; both weight sets tie rows 0 and 1
+    labels = SampledLabels(np.array([[1, 1, 0], [0, 0, 1], [0, 0, 0], [1, 1, 1]]))
+    scores = np.array([0.0, 1.0, -1.0, 2.0])
+    weights = np.array([0.1, 0.2, 0.3])
+    costs = CostMatrix.uniform(8)
+    aucs, losses = [], []
+    for w in (weights, 10.0 * weights):
+        aggregator = WeightedSum(tuple(w))
+        assert aggregate_labels(labels, aggregator).tolist() == [1, 1, 0, 2]
+        aucs.append(label_agg_auc(scores, labels, aggregator, costs))
+        losses.append(surrogate_objective(scores, None, labels, LabelAgg(aggregator, costs), Logistic()))
+    assert aucs[0] == aucs[1] == 1.0
+    assert losses[0] == losses[1]
 
 
 def test_sum_and_product_labels():
