@@ -145,8 +145,8 @@ def _cost_matrices(draw):
 
     Factorizable matrices take w in [0.5, 2] and s with gaps 0 (ties) or in
     [0.25, 2], so nonzero entries lie in [1/16, 56]; a perturbation zeroes an
-    entry or scales it by at least 1 + 1e-4, so it moves that entry by more
-    than 10x the tolerance.
+    entry or scales it by a factor in [1 + 1e-4, 2], so it moves that entry
+    by more than 5x the tolerance 1e-8 * max|c|.
     """
     m = draw(st.integers(3, 8))
     kind = draw(st.sampled_from(["factorizable", "zeroed", "scaled", "integer", "first_column_zero"]))
