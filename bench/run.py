@@ -8,9 +8,10 @@ the median and quartiles of its repeats. Cases:
   1e6 / n calls per repeat;
 - ``auc_report_k2_n100000_ties``: the n=1e5 case with its scores rounded to
   3 decimals, so that runs of tied scores are grouped;
-- ``solve_rho_default_sweep_n100000``: ``cli._solve_rho_for_pi2`` for the
-  twelve (tau, pi2) points of ``skew-sweep`` at its defaults (seed 0);
-  seconds for all twelve;
+- ``solve_rho_default_sweep_n100000``: ``synthgen._solve_rho_for_pi2`` for
+  the twelve (tau, pi2) points of ``skew-sweep`` at its defaults (seed 0);
+  seconds for all twelve. Older source trees keep the solver in ``cli``,
+  where it is taken from instead;
 - ``scale_condition_absdiff_m8``: ``bayes.scale_condition_holds`` on
   ``CostMatrix.absdiff(8)``; seconds per call;
 - ``surrogate_loss_grad_n600``: one exact logistic loss plus score gradient
@@ -99,8 +100,12 @@ def measure() -> dict:
     """Timings of every case, keyed by case name."""
     from rankagg import CostMatrix, SampledLabels, SigmoidSynthConfig, gen_sigmoid_pair
     from rankagg.bayes import scale_condition_holds
-    from rankagg.cli import _solve_rho_for_pi2
     from rankagg.metrics import auc_report
+
+    try:
+        from rankagg.synthgen import _solve_rho_for_pi2
+    except ImportError:
+        from rankagg.cli import _solve_rho_for_pi2
 
     # The surrogate cases run first: once the n=1e6 arrays below are freed,
     # glibc raises its mmap threshold, and later block temporaries of a few

@@ -69,6 +69,7 @@ from .synthgen import (
     gen_gaussian_bilevel,
     gen_sigmoid_pair,
     resample_to_skew,
+    sigmoid_sweep,
 )
 
 __version__ = "0.1.0"

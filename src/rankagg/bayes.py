@@ -133,7 +133,8 @@ def multipartite_bayes_scorer(class_probs: np.ndarray, costs: CostMatrix) -> Tab
 
     score = sum_{y > 0} c[y, 0] * p_y / sum_{y < L-1} c[L-1, y] * p_y,
     valid for a 3-letter alphabet or whenever the costs factorize on the
-    scale condition; +inf where the denominator vanishes.
+    scale condition, checked on the leading L x L block, the only costs
+    read; +inf where the denominator vanishes.
     """
     p = np.asarray(class_probs, dtype=float)
     if p.ndim != 2:
@@ -141,7 +142,7 @@ def multipartite_bayes_scorer(class_probs: np.ndarray, costs: CostMatrix) -> Tab
     levels = p.shape[1]
     if costs.size < levels:
         raise ValueError("cost matrix smaller than the alphabet")
-    if levels > 3 and not scale_condition_holds(costs):
+    if levels > 3 and not scale_condition_holds(CostMatrix(costs.costs[:levels, :levels])):
         raise InvalidCosts("no closed form: costs fail the scale condition for L > 3")
     num = p[:, 1:] @ costs.costs[1:levels, 0]
     den = p[:, :-1] @ costs.costs[levels - 1, : levels - 1]

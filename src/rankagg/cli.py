@@ -8,7 +8,9 @@ config errors, 4 enumeration budget errors. Every option but --out, --data,
 kebab-case) of an optional key=value --config file; flags override config
 values, which override builtin defaults. Sweep points, train trials and
 bound points run one after another. train computes its per-epoch losses and
-training AUCs only for --trace-out, which writes them as JSON lines.
+training AUCs only for --trace-out, which writes them as JSON lines. Each
+cmd_* returns its CSV header, rows and chart (None for train, which draws
+none); main writes the CSV and, unless --no-plot, the SVG.
 """
 
 from __future__ import annotations
@@ -36,13 +38,7 @@ from .metrics import auc_report
 from .oracle import DEFAULT_BUDGET, MAX_EXHAUSTIVE_N, auc_scatter, index_equal, index_subset, maximizer_sets
 from .bound import evaluate_bound
 from .surrogate import Hinge, Logistic, TrainConfig, train
-from .synthgen import (
-    _sigmoid_draws,
-    _sigmoid_eta1,
-    _sigmoid_pair_from_draws,
-    gen_gaussian_bilevel,
-    resample_to_skew,
-)
+from .synthgen import gen_gaussian_bilevel, resample_to_skew, sigmoid_sweep
 
 __all__ = ["main"]
 
@@ -50,6 +46,10 @@ _EXIT_OK = 0
 _EXIT_FLAGS = 2
 _EXIT_DATA = 3
 _EXIT_BUDGET = 4
+
+
+class _UsageError(Exception):
+    """A flag combination or value the run cannot use; main prints it as is and exits 2."""
 
 
 def _float_list(text: str) -> list[float]:
@@ -163,91 +163,7 @@ def _merge(args: argparse.Namespace, options: dict) -> argparse.Namespace:
     return args
 
 
-def _plot_path(args) -> Path:
-    return Path(args.plot_out) if args.plot_out else Path(args.out).with_suffix(".svg")
-
-
 # ---------------------------------------------------------------- skew-sweep
-
-
-def _mean_sigmoid(rho: float, x: np.ndarray, tau: float, buf: np.ndarray) -> float:
-    """mean sigmoid(tau * (x - rho)), leaving the sigmoids in buf.
-
-    It evaluates 1 / (1 + exp(tau * (rho - x))) in place; tau * (rho - x) is
-    exactly -(tau * (x - rho)), so the mean is bit for bit that of
-    synthgen._sigmoid(tau * (x - rho)).
-    """
-    np.subtract(rho, x, out=buf)
-    buf *= tau
-    np.exp(buf, out=buf)
-    buf += 1.0
-    np.divide(1.0, buf, out=buf)
-    return float(buf.mean())
-
-
-# The replay's clearance margin, far above the rounding error of the mean.
-_CLEARANCE = 1e-12
-
-
-def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
-    """Invert mean sigmoid(tau * (x2 - rho)) = target by bisection (decreasing in rho).
-
-    The result is that of the plain bisection on [-50, 50], bit for bit: its
-    steps are replayed, but most are decided without evaluating.
-
-    1. A few safeguarded Newton steps, slope -tau * mean(s (1 - s)), find an
-       approximate root r.
-    2. With delta = 4 M / |slope| for the last finite negative Newton slope
-       (M = _CLEARANCE = 1e-12), so that each side's mean sits about 4 M
-       from the target, or else delta = 1e-10 * max(1, |r|), a = r - delta
-       is a known lower bound if its computed mean exceeds target + M, and
-       b = r + delta a known upper bound if its computed mean is below
-       target - M. A side that does not clear stays unknown.
-    3. The bisection is replayed: a step with mid <= a goes up and one with
-       mid >= b goes down without evaluating; every other step evaluates as
-       the plain bisection does.
-
-    Why a decided step goes the way the plain one would: let F(rho) be the
-    exact mean of the exact sigmoids at the float data, non-increasing in
-    rho, and e a bound on |computed - F| at any rho. Each term is in [0, 1]
-    and its four roundings (rho - x, the product by tau, 1 + exp, the
-    division; exp within a few ulp) move it by a few units of 2^-53, because
-    s (1 - s) |z| <= 0.23 damps the argument's rounding. numpy's pairwise
-    sum of n terms adds a relative error of about (log2(n) + 16) * 2^-53.
-    So e < 1e-14 even at n = 10^9, and M > 2e. For mid <= a, computed(mid)
-    >= F(mid) - e >= F(a) - e >= computed(a) - 2e > target, the plain
-    step's decision; mid >= b is symmetric. The fixed-point stop is kept:
-    each step is a function of (lo, hi) alone, so once one leaves the
-    bracket unchanged every later one would too.
-    """
-    x = np.ascontiguousarray(feats[:, 1])
-    buf = np.empty_like(x)
-    with np.errstate(over="ignore"):
-        lo, hi, r = -50.0, 50.0, 0.0
-        for _ in range(16):
-            value = _mean_sigmoid(r, x, tau, buf)
-            lo, hi = (r, hi) if value > target else (lo, r)
-            slope = -tau * float(np.dot(buf, 1.0 - buf)) / x.size
-            step = r - (value - target) / slope if slope < 0.0 else np.nan
-            if abs(step - r) <= 1e-12 * max(1.0, abs(r)):
-                r = step
-                break
-            r = step if lo < step < hi else 0.5 * (lo + hi)
-        delta = 4.0 * _CLEARANCE / -slope if -np.inf < slope < 0.0 else 1e-10 * max(1.0, abs(r))
-        a = r - delta if _mean_sigmoid(r - delta, x, tau, buf) > target + _CLEARANCE else -np.inf
-        b = r + delta if _mean_sigmoid(r + delta, x, tau, buf) < target - _CLEARANCE else np.inf
-
-        lo, hi = -50.0, 50.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            above = mid <= a or (mid < b and _mean_sigmoid(mid, x, tau, buf) > target)
-            bracket = (mid, hi) if above else (lo, mid)
-            if bracket == (lo, hi):
-                break
-            lo, hi = bracket
-    if lo == -50.0 or hi == 50.0:
-        raise ValueError(f"no label-2 shift in [-50, 50] reaches positive rate {target:g} at tau={tau:g}")
-    return 0.5 * (lo + hi)
 
 
 _SWEEP_SCORERS = {"labelagg": label_agg_bayes_scorer_sum, "lossagg": loss_agg_bayes_scorer}
@@ -280,12 +196,11 @@ def _sweep_point(eta, labels, tau, rho, pi2_target, seed):
     return rows
 
 
-def cmd_skew_sweep(args) -> int:
+def cmd_skew_sweep(args):
     if args.rho is None and args.pi2 is None:
         args.pi2 = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
     if args.rho is not None and args.pi2 is not None:
-        print("give --rho or --pi2, not both", file=sys.stderr)
-        return _EXIT_FLAGS
+        raise _UsageError("give --rho or --pi2, not both")
     bad = [("pi2", p) for p in args.pi2 or () if not 0.0 < p < 1.0]
     bad += [("tau", t) for t in args.tau if not 0.0 < t < np.inf]
     if bad:
@@ -294,19 +209,10 @@ def cmd_skew_sweep(args) -> int:
         in_config = [f"{key}={value:g}" for key, value in bad if args.sources[key] == "config"]
         if in_config:
             raise ValueError(f"{args.config}: {', '.join(in_config)}: {need}")
-        print(f"{', '.join(f'--{key} {value:g}' for key, value in bad)}: {need}", file=sys.stderr)
-        return _EXIT_FLAGS
-    feats, uniforms = _sigmoid_draws(args.n, args.seed)
+        raise _UsageError(f"{', '.join(f'--{key} {value:g}' for key, value in bad)}: {need}")
     rows = []
-    for tau in args.tau:
-        if args.rho is not None:
-            points = [(rho, None) for rho in args.rho]
-        else:
-            points = [(_solve_rho_for_pi2(feats, tau, target), target) for target in args.pi2]
-        eta1 = _sigmoid_eta1(feats, tau)
-        for rho, target in points:
-            eta, labels = _sigmoid_pair_from_draws(feats, uniforms, eta1, tau, rho)
-            rows += _sweep_point(eta, labels, tau, rho, target, args.seed)
+    for tau, rho, target, eta, labels in sigmoid_sweep(args.n, args.seed, args.tau, args.rho, args.pi2):
+        rows += _sweep_point(eta, labels, tau, rho, target, args.seed)
     rows.sort(key=lambda r: (r[1], r[4], r[5]))
     header = [
         "experiment",
@@ -322,19 +228,12 @@ def cmd_skew_sweep(args) -> int:
         "runtime_ms",
         "seed",
     ]
-    dataio.write_rows(args.out, header, rows)
-    if not args.no_plot:
-        series = {}
-        for row in rows:
-            series.setdefault(f"{row[5]} tau={row[1]:g}", []).append((row[4], row[8]))
-        svgplot.line_chart(
-            _plot_path(args),
-            series,
-            title="Per-label AUC difference vs label-2 skew",
-            xlabel="empirical positive rate of label 2",
-            ylabel="|AUC1 - AUC2|",
-        )
-    return _EXIT_OK
+    series = {}
+    for row in rows:
+        series.setdefault(f"{row[5]} tau={row[1]:g}", []).append((row[4], row[8]))
+    text = {"title": "Per-label AUC difference vs label-2 skew", "xlabel": "empirical positive rate of label 2",
+            "ylabel": "|AUC1 - AUC2|"}
+    return header, rows, (svgplot.line_chart, series, text)
 
 
 # --------------------------------------------------------------------- train
@@ -366,7 +265,7 @@ def _parse_model(text: str) -> tuple:
     raise ValueError(f"unknown model {text!r}")
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     instances, all_labels = dataio.read_dataset(args.data)
     col_names = [name.strip() for name in args.labels.split(",")]
     available = [f"y{k}" for k in range(all_labels.K)]
@@ -454,10 +353,9 @@ def cmd_train(args) -> int:
         "runtime_ms",
         "seed",
     ]
-    dataio.write_rows(args.out, header, rows)
     if args.trace_out is not None:
         _write_train_trace(args.trace_out, traces)
-    return _EXIT_OK
+    return header, rows, None
 
 
 def _write_train_trace(path, traces: list[list[dict]]) -> None:
@@ -475,7 +373,7 @@ def _write_train_trace(path, traces: list[list[dict]]) -> None:
 # -------------------------------------------------------------------- oracle
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     data = gen_gaussian_bilevel(args.n, args.seed)
     sets = maximizer_sets(data.labels, P=args.P, weight_grid_max=args.weights_grid, budget=args.budget)
     grid = args.weights_grid
@@ -532,22 +430,16 @@ def cmd_oracle(args) -> int:
         for a1, a2, c, f in zip(auc_1, auc_2, counts, on_front)
     ]
     rows.sort(key=lambda r: (r[0], r[1]))
-    dataio.write_rows(args.out, header, rows)
-    if not args.no_plot:
-        svgplot.scatter_chart(
-            _plot_path(args),
-            [(r[0], r[1], bool(r[3])) for r in rows],
-            title="Per-label AUCs over the exhaustive hypothesis grid",
-            xlabel="AUC label 1",
-            ylabel="AUC label 2",
-        )
-    return _EXIT_OK
+    points = [(r[0], r[1], bool(r[3])) for r in rows]
+    text = {"title": "Per-label AUCs over the exhaustive hypothesis grid", "xlabel": "AUC label 1",
+            "ylabel": "AUC label 2"}
+    return header, rows, (svgplot.scatter_chart, points, text)
 
 
 # --------------------------------------------------------------------- bound
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     if args.n > MAX_EXHAUSTIVE_N:
         raise TooLarge(f"{args.n} instances exceed the exhaustive limit {MAX_EXHAUSTIVE_N}")
 
@@ -561,23 +453,14 @@ def cmd_bound(args) -> int:
 
     rows = [run_k(K) for K in sorted(args.K)]
     header = ["experiment", "K", "gap", "bound", "argument", "runtime_ms", "seed"]
-    dataio.write_rows(args.out, header, rows)
-    if not args.no_plot:
-        floor = 1e-12  # keep zero gaps plottable on the log axis
-        series = {
-            "gap": [(r[1], max(r[2], floor)) for r in rows],
-            "bound": [(r[1], max(r[3], floor)) for r in rows if np.isfinite(r[3])],
-        }
-        svgplot.line_chart(
-            _plot_path(args),
-            series,
-            title="Optimality gap of the probability-sum scorer vs K",
-            xlabel="K",
-            ylabel="gap",
-            logx=True,
-            logy=True,
-        )
-    return _EXIT_OK
+    floor = 1e-12  # keep zero gaps plottable on the log axis
+    series = {
+        "gap": [(r[1], max(r[2], floor)) for r in rows],
+        "bound": [(r[1], max(r[3], floor)) for r in rows if np.isfinite(r[3])],
+    }
+    text = {"title": "Optimality gap of the probability-sum scorer vs K", "xlabel": "K", "ylabel": "gap",
+            "logx": True, "logy": True}
+    return header, rows, (svgplot.line_chart, series, text)
 
 
 # ---------------------------------------------------------------- dispatcher
@@ -614,13 +497,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else _EXIT_FLAGS
     try:
-        return args.fn(_merge(args, _OPTIONS[args.command]))
+        header, rows, chart = args.fn(_merge(args, _OPTIONS[args.command]))
+        dataio.write_rows(args.out, header, rows)
+        if chart is not None and not args.no_plot:
+            plot, data, text = chart
+            plot(Path(args.plot_out) if args.plot_out else Path(args.out).with_suffix(".svg"), data, **text)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return _EXIT_FLAGS
     except (BudgetExceeded, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET
     except (DegenerateLabel, RankAggError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DATA
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

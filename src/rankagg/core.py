@@ -261,6 +261,8 @@ class CostMatrix:
         c = _frozen_array(self.costs, ndim=2, nan_name="costs")
         if c.shape[0] != c.shape[1] or c.shape[0] < 2:
             raise ValueError("costs must be a square matrix of size >= 2")
+        if not np.isfinite(c).all():
+            raise ValueError("costs must be finite")
         if np.any(c < 0):
             raise ValueError("costs must be non-negative")
         object.__setattr__(self, "costs", c)

@@ -163,7 +163,7 @@ def bipartite_auc_empirical(scores, labels) -> float:
 
 def bipartite_auc_population(scores, eta_column) -> float:
     """Pairwise-weight AUC under per-instance positive probabilities."""
-    eta = np.asarray(eta_column, dtype=float)[None, :]
+    eta = EtaTable(np.asarray(eta_column, dtype=float)[None, :]).eta
     return float(_bipartite_aucs(scores, eta, 1.0 - eta)[0])
 
 

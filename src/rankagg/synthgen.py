@@ -9,7 +9,7 @@ skew sweep never loads scipy.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "SynthData",
     "SigmoidSynthConfig",
     "gen_sigmoid_pair",
+    "sigmoid_sweep",
     "gen_gaussian_bilevel",
     "gen_d3_training_pair",
     "gen_conflicting_pair",
@@ -67,6 +68,86 @@ def _sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
 
+def _mean_sigmoid(rho: float, x: np.ndarray, tau: float, buf: np.ndarray) -> float:
+    """mean sigmoid(tau * (x - rho)), leaving the sigmoids in buf.
+
+    It evaluates 1 / (1 + exp(tau * (rho - x))) in place; tau * (rho - x) is
+    exactly -(tau * (x - rho)), so the mean is bit for bit that of
+    _sigmoid(tau * (x - rho)).
+    """
+    np.subtract(rho, x, out=buf)
+    buf *= tau
+    np.exp(buf, out=buf)
+    buf += 1.0
+    np.divide(1.0, buf, out=buf)
+    return float(buf.mean())
+
+
+# The replay's clearance margin, far above the rounding error of the mean.
+_CLEARANCE = 1e-12
+
+
+def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
+    """Invert mean sigmoid(tau * (x2 - rho)) = target by bisection (decreasing in rho).
+
+    The result is that of the plain bisection on [-50, 50], bit for bit: its
+    steps are replayed, but most are decided without evaluating.
+
+    1. A few safeguarded Newton steps, slope -tau * mean(s (1 - s)), find an
+       approximate root r.
+    2. With delta = 4 M / |slope| for the last finite negative Newton slope
+       (M = _CLEARANCE = 1e-12), so that each side's mean sits about 4 M
+       from the target, or else delta = 1e-10 * max(1, |r|), a = r - delta
+       is a known lower bound if its computed mean exceeds target + M, and
+       b = r + delta a known upper bound if its computed mean is below
+       target - M. A side that does not clear stays unknown.
+    3. The bisection is replayed: a step with mid <= a goes up and one with
+       mid >= b goes down without evaluating; every other step evaluates as
+       the plain bisection does.
+
+    Why a decided step goes the way the plain one would: let F(rho) be the
+    exact mean of the exact sigmoids at the float data, non-increasing in
+    rho, and e a bound on |computed - F| at any rho. Each term is in [0, 1]
+    and its four roundings (rho - x, the product by tau, 1 + exp, the
+    division; exp within a few ulp) move it by a few units of 2^-53, because
+    s (1 - s) |z| <= 0.23 damps the argument's rounding. numpy's pairwise
+    sum of n terms adds a relative error of about (log2(n) + 16) * 2^-53.
+    So e < 1e-14 even at n = 10^9, and M > 2e. For mid <= a, computed(mid)
+    >= F(mid) - e >= F(a) - e >= computed(a) - 2e > target, the plain
+    step's decision; mid >= b is symmetric. The fixed-point stop is kept:
+    each step is a function of (lo, hi) alone, so once one leaves the
+    bracket unchanged every later one would too.
+    """
+    x = np.ascontiguousarray(feats[:, 1])
+    buf = np.empty_like(x)
+    with np.errstate(over="ignore"):
+        lo, hi, r = -50.0, 50.0, 0.0
+        for _ in range(16):
+            value = _mean_sigmoid(r, x, tau, buf)
+            lo, hi = (r, hi) if value > target else (lo, r)
+            slope = -tau * float(np.dot(buf, 1.0 - buf)) / x.size
+            step = r - (value - target) / slope if slope < 0.0 else np.nan
+            if abs(step - r) <= 1e-12 * max(1.0, abs(r)):
+                r = step
+                break
+            r = step if lo < step < hi else 0.5 * (lo + hi)
+        delta = 4.0 * _CLEARANCE / -slope if -np.inf < slope < 0.0 else 1e-10 * max(1.0, abs(r))
+        a = r - delta if _mean_sigmoid(r - delta, x, tau, buf) > target + _CLEARANCE else -np.inf
+        b = r + delta if _mean_sigmoid(r + delta, x, tau, buf) < target - _CLEARANCE else np.inf
+
+        lo, hi = -50.0, 50.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            above = mid <= a or (mid < b and _mean_sigmoid(mid, x, tau, buf) > target)
+            bracket = (mid, hi) if above else (lo, mid)
+            if bracket == (lo, hi):
+                break
+            lo, hi = bracket
+    if lo == -50.0 or hi == 50.0:
+        raise ValueError(f"no label-2 shift in [-50, 50] reaches positive rate {target:g} at tau={tau:g}")
+    return 0.5 * (lo + hi)
+
+
 def _sample_labels(eta: np.ndarray, uniforms: np.ndarray) -> SampledLabels:
     return SampledLabels((uniforms < eta).astype(np.int64))
 
@@ -97,6 +178,26 @@ def gen_sigmoid_pair(config: SigmoidSynthConfig) -> SynthData:
     feats, uniforms = _sigmoid_draws(config.n, config.seed)
     eta1 = _sigmoid_eta1(feats, config.tau)
     return SynthData(InstanceSet(feats), *_sigmoid_pair_from_draws(feats, uniforms, eta1, config.tau, config.rho))
+
+
+def sigmoid_sweep(n: int, seed: int, taus, rhos=None, pi2=None) -> Iterator[tuple]:
+    """Yield (tau, rho, target, eta, labels) of gen_sigmoid_pair(SigmoidSynthConfig(n, tau, rho, seed)), bit for bit.
+
+    For each tau in turn, rho runs over rhos (target None) or else solves
+    mean eta2 = target for each target in pi2, raising ValueError if no rho
+    in [-50, 50] does. The inputs are drawn once, and eta1 once per tau.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    feats, uniforms = _sigmoid_draws(n, seed)
+    for tau in taus:
+        if rhos is not None:
+            points = [(rho, None) for rho in rhos]
+        else:
+            points = [(_solve_rho_for_pi2(feats, tau, target), target) for target in pi2]
+        eta1 = _sigmoid_eta1(feats, tau)
+        for rho, target in points:
+            yield (tau, rho, target, *_sigmoid_pair_from_draws(feats, uniforms, eta1, tau, rho))
 
 
 def gen_gaussian_bilevel(n: int, seed: int) -> SynthData:

@@ -190,6 +190,19 @@ def test_multipartite_scorer_rejects_unfactorizable_large_alphabets():
         multipartite_bayes_scorer(probs, bad)
 
 
+def test_multipartite_scorer_checks_the_scale_condition_on_the_alphabet_block_only():
+    probs = np.random.default_rng(4).dirichlet(np.ones(4), 6)
+    costs = np.full((6, 6), 7.0)
+    costs[:4, :4] = CostMatrix.absdiff(4).costs
+    # the two levels past the alphabet are never read, and they fail the condition
+    assert not scale_condition_holds(CostMatrix(costs))
+    want = multipartite_bayes_scorer(probs, CostMatrix.absdiff(4)).scores()
+    assert multipartite_bayes_scorer(probs, CostMatrix(costs)).scores().tobytes() == want.tobytes()
+    costs[:4, :4] = [[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 10, 0]]
+    with pytest.raises(InvalidCosts):
+        multipartite_bayes_scorer(probs, CostMatrix(costs))
+
+
 def test_product_scorer_is_all_ones_probability():
     eta = EtaTable(np.array([[0.5, 0.8], [1.0, 1.0]]))
     vals = product_agg_bayes_scorer(JointLabelModel.from_eta(eta)).scores()

@@ -57,7 +57,7 @@ def test_unreachable_sweep_targets_exit_2_before_generating(tmp_path, monkeypatc
     def no_data(*args, **kwargs):
         raise AssertionError("generated data")
 
-    monkeypatch.setattr(cli, "_sigmoid_draws", no_data)
+    monkeypatch.setattr(cli, "sigmoid_sweep", no_data)
     out = tmp_path / "o.csv"
     assert main(["skew-sweep", "--out", str(out), "--n", "2000", "--no-plot", *flags]) == 2
     assert capsys.readouterr().err.startswith(named + ":")
@@ -72,7 +72,7 @@ def test_unreachable_sweep_targets_in_config_exit_3_before_generating(tmp_path, 
     def no_data(*args, **kwargs):
         raise AssertionError("generated data")
 
-    monkeypatch.setattr(cli, "_sigmoid_draws", no_data)
+    monkeypatch.setattr(cli, "sigmoid_sweep", no_data)
     config = tmp_path / "bad.cfg"
     config.write_text(lines + "\n")
     out = tmp_path / "o.csv"
@@ -114,6 +114,24 @@ def test_no_plot_skips_svg_without_touching_csv(tmp_path):
     assert main(base + ["--out", str(tmp_path / "q.csv"), "--no-plot"]) == 0
     assert not (tmp_path / "q.svg").exists()
     assert _stable_bytes(tmp_path / "p.csv") == _stable_bytes(tmp_path / "q.csv")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("skew-sweep", ["--tau", "2.0", "--pi2", "0.6", "--n", "200"]),
+        ("oracle", ["--n", "25", "--seed", "2", "--weights-grid", "3"]),
+        ("bound", ["--K", "2,4", "--n", "4"]),
+    ],
+)
+def test_plot_out_moves_the_svg_and_nothing_else(command, flags, tmp_path):
+    assert main([command, "--out", str(tmp_path / "a.csv"), *flags]) == 0
+    chart = tmp_path / "charts" / "chart.svg"
+    chart.parent.mkdir()
+    assert main([command, "--out", str(tmp_path / "b.csv"), "--plot-out", str(chart), *flags]) == 0
+    assert not (tmp_path / "b.svg").exists()
+    assert chart.read_bytes() == (tmp_path / "a.svg").read_bytes()
+    assert _stable_bytes(tmp_path / "b.csv") == _stable_bytes(tmp_path / "a.csv")
 
 
 def test_config_file_fills_defaults_and_flags_win(tmp_path):
@@ -309,7 +327,7 @@ def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, 
     def record(args):
         resolved.append({k: v for k, v in vars(args).items() if k not in ("config", "fn", "sources")})
         sources.append(args.sources)
-        return 0
+        return ["experiment"], [], None
 
     monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), record)
     # a distinct value per option catches crossed keys; "11", "12", ... parse under every

@@ -240,6 +240,17 @@ def test_cost_matrix_constructors_and_validation():
         CostMatrix.custom(np.ones((1, 1)))
 
 
+def test_cost_matrix_rejects_infinite_costs():
+    # an unread entry above the diagonal used to make every tolerance infinite
+    c = np.random.default_rng(2).uniform(0.0, 2.0, (5, 5))
+    c[1, 3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        CostMatrix(c)
+    # and a read one turned the multipartite AUC into NaN
+    with pytest.raises(ValueError, match="finite"):
+        CostMatrix.custom([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 1.0, 0.0]])
+
+
 def test_prior_vector_degenerate_label_raises():
     priors = PriorVector.from_labels(SampledLabels(np.array([[1, 0], [1, 1]])))
     with pytest.raises(DegenerateLabel):

@@ -206,6 +206,12 @@ def test_nan_scores_are_rejected():
         multipartite_auc(np.array([0.0, np.nan]), np.array([1, 0]), CostMatrix.uniform(2))
 
 
+@pytest.mark.parametrize("eta, match", [([0.2, np.nan, 0.7], "NaN"), ([0.2, 1.5, 0.7], "lie in"), ([-0.1, 0.5, 0.7], "lie in")])
+def test_population_auc_rejects_invalid_probabilities(eta, match):
+    with pytest.raises(ValueError, match=match):
+        bipartite_auc_population(np.array([0.0, 1.0, 2.0]), np.array(eta))
+
+
 def test_population_matches_empirical_within_monte_carlo_error():
     rng = np.random.default_rng(5)
     n, draws = 8, 10_000

@@ -9,10 +9,10 @@ from rankagg import (
     gen_gaussian_bilevel,
     gen_sigmoid_pair,
     resample_to_skew,
+    sigmoid_sweep,
 )
-from rankagg import cli
-from rankagg.cli import _solve_rho_for_pi2
-from rankagg.synthgen import _sigmoid, _sigmoid_draws, _sigmoid_eta1, _sigmoid_pair_from_draws
+from rankagg import synthgen
+from rankagg.synthgen import _sigmoid, _sigmoid_draws, _solve_rho_for_pi2
 
 
 def test_generation_is_deterministic_per_seed():
@@ -33,14 +33,16 @@ def test_growing_n_preserves_the_earlier_prefix():
 
 
 def test_shared_draws_reproduce_gen_sigmoid_pair_bit_for_bit():
-    # as in the sweep: one draw, and one eta1 per tau shared by every rho
-    feats, uniforms = _sigmoid_draws(500, 3)
-    for tau in (0.5, 5.0, 200.0):
-        eta1 = _sigmoid_eta1(feats, tau)
-        for rho in (-1.3, 0.0, 0.4):
+    # the sweep draws once, and shares one eta1 per tau among every rho
+    taus, rhos, targets = (0.5, 5.0, 200.0), (-1.3, 0.0, 0.4), (0.3, 0.9)
+    feats, _ = _sigmoid_draws(500, 3)
+    given = [(tau, rho, None) for tau in taus for rho in rhos]
+    solved = [(tau, _solve_rho_for_pi2(feats, tau, target), target) for tau in taus for target in targets]
+    for points, grid in ((given, {"rhos": rhos}), (solved, {"pi2": targets})):
+        swept = list(sigmoid_sweep(500, 3, taus, **grid))
+        assert [point[:3] for point in swept] == points
+        for tau, rho, _, eta, labels in swept:
             want = gen_sigmoid_pair(SigmoidSynthConfig(500, tau, rho, 3))
-            eta, labels = _sigmoid_pair_from_draws(feats, uniforms, eta1, tau, rho)
-            assert feats.tobytes() == want.instances.features.tobytes()
             assert eta.eta.tobytes() == want.eta.eta.tobytes()
             assert labels.labels.tobytes() == want.labels.labels.tobytes()
 
@@ -163,13 +165,13 @@ def test_rho_bisection_matches_plain_and_scipy_references():
 
 def test_rho_replay_evaluates_at_most_40_times_per_default_sweep_point(monkeypatch):
     counts = []
-    evaluate = cli._mean_sigmoid
+    evaluate = synthgen._mean_sigmoid
 
     def counting(*args):
         counts[-1] += 1
         return evaluate(*args)
 
-    monkeypatch.setattr(cli, "_mean_sigmoid", counting)
+    monkeypatch.setattr(synthgen, "_mean_sigmoid", counting)
     feats, _ = _sigmoid_draws(100_000, 0)
     for tau in (1.0, 5.0):
         for target in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95):
