@@ -12,6 +12,11 @@ the median and quartiles of its repeats. Cases:
   the twelve (tau, pi2) points of ``skew-sweep`` at its defaults (seed 0);
   seconds for all twelve. Older source trees keep the solver in ``cli``,
   where it is taken from instead;
+- ``sweep_points_n100000``: the twelve points of ``skew-sweep`` at its
+  defaults (seed 0), with each rho solved beforehand: ``sigmoid_sweep``
+  builds each point's eta and labels (drawing the inputs and eta1 once per
+  tau), then both sweep scorers and their ``auc_report``; seconds for all
+  twelve. A source tree without ``synthgen.sigmoid_sweep`` leaves it out;
 - ``scale_condition_absdiff_m8``: ``bayes.scale_condition_holds`` on
   ``CostMatrix.absdiff(8)``; seconds per call;
 - ``surrogate_loss_grad_n600``: one exact logistic loss plus score gradient
@@ -24,6 +29,10 @@ the median and quartiles of its repeats. Cases:
   as ``rankagg train`` runs it without ``--trace-out``: no per-epoch loss
   or training AUCs. A source tree whose ``train`` has no ``per_epoch``
   leaves this case out.
+
+Besides the timings, ``memory`` records the tracemalloc peak of one pass over
+the same twelve points, after a warm-up pass, in bytes and in bytes per
+instance: the sweep's working set above its imports.
 
 The surrogate cases use n=600 data built as the benchmark's train CSV
 (uniform features on [-1, 1]^2, labels Bernoulli(s(6 x1)) and
@@ -51,6 +60,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +68,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 SWEEP_TAUS = (1.0, 5.0)
 SWEEP_TARGETS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+SWEEP_N = 100_000
 REPEATS = 7
 TRAIN_N = 600
 TRAIN_EPOCHS = 60
@@ -96,10 +107,21 @@ def _timings(fn, number: int, repeats: int, units: int = 1) -> dict:
             "repeats": repeats, "calls_per_repeat": number, "units_per_call": units}
 
 
-def measure() -> dict:
-    """Timings of every case, keyed by case name."""
+def _traced_peak(fn) -> int:
+    """Bytes at the tracemalloc peak of one call of fn, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def measure() -> tuple[dict, dict]:
+    """Timings of every case, keyed by case name, and the memory record."""
     from rankagg import CostMatrix, SampledLabels, SigmoidSynthConfig, gen_sigmoid_pair
-    from rankagg.bayes import scale_condition_holds
+    from rankagg.bayes import label_agg_bayes_scorer_sum, loss_agg_bayes_scorer, scale_condition_holds
     from rankagg.metrics import auc_report
 
     try:
@@ -124,17 +146,36 @@ def measure() -> dict:
             cases[f"auc_report_k2_n{n}_ties"] = _timings(
                 lambda: auc_report(tied, labels), number=1_000_000 // n, repeats=REPEATS
             )
-    feats = gen_sigmoid_pair(SigmoidSynthConfig(100_000, 1.0, 0.0, 0)).instances.features
+    feats = gen_sigmoid_pair(SigmoidSynthConfig(SWEEP_N, 1.0, 0.0, 0)).instances.features
 
     def sweep_solves():
         for tau in SWEEP_TAUS:
             for target in SWEEP_TARGETS:
                 _solve_rho_for_pi2(feats, tau, target)
 
-    cases["solve_rho_default_sweep_n100000"] = _timings(sweep_solves, number=1, repeats=REPEATS)
+    cases[f"solve_rho_default_sweep_n{SWEEP_N}"] = _timings(sweep_solves, number=1, repeats=REPEATS)
+    memory = {}
+    try:
+        from rankagg.synthgen import sigmoid_sweep
+    except ImportError:
+        sigmoid_sweep = None
+    if sigmoid_sweep is not None:
+        rhos = {tau: [_solve_rho_for_pi2(feats, tau, target) for target in SWEEP_TARGETS] for tau in SWEEP_TAUS}
+
+        def sweep_points():
+            for tau in SWEEP_TAUS:
+                for point in sigmoid_sweep(SWEEP_N, 0, (tau,), rhos[tau]):
+                    for build in (label_agg_bayes_scorer_sum, loss_agg_bayes_scorer):
+                        auc_report(build(point[3]).scores(), point[4])
+                    # as skew-sweep does, free the point before the next is built
+                    del point
+
+        cases[f"sweep_points_n{SWEEP_N}"] = _timings(sweep_points, number=1, repeats=REPEATS)
+        peak = _traced_peak(sweep_points)
+        memory[f"sweep_points_n{SWEEP_N}"] = {"traced_peak_bytes": peak, "bytes_per_instance": peak / SWEEP_N}
     absdiff = CostMatrix.absdiff(8)
     cases["scale_condition_absdiff_m8"] = _timings(lambda: scale_condition_holds(absdiff), number=100, repeats=REPEATS)
-    return cases
+    return cases, memory
 
 
 def _surrogate_cases() -> dict:
@@ -185,13 +226,15 @@ def main(argv=None) -> int:
         "machine": {"platform": platform.platform(), "machine": platform.machine(),
                     "cpu_model": _cpu_model(), "cpu_count": os.cpu_count()},
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
-        "cases": measure(),
     }
+    record["cases"], record["memory"] = measure()
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     data["runs"][args.label] = record
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     for name, case in record["cases"].items():
         print(f"{args.label:>8} {name:<34} {case['median_s'] * 1e3:10.3f} ms")
+    for name, peak in record["memory"].items():
+        print(f"{args.label:>8} {name + ' traced peak':<34} {peak['traced_peak_bytes'] / 1e6:10.3f} MB")
     return 0
 
 

@@ -18,6 +18,7 @@ from .core import (
     PriorVector,
     SampledLabels,
     TableScorer,
+    _frozen,
     _positive_weights,
 )
 from .errors import InvalidCosts
@@ -69,12 +70,22 @@ def loss_agg_bayes_scorer(eta: EtaTable, priors=None, weights=None) -> TableScor
     if weights is None:
         weights = np.ones(eta.K)
     alpha = alpha_vector(priors, weights)
-    return TableScorer(eta.eta @ alpha / eta.K)
+    scores = eta.eta @ alpha
+    scores /= eta.K
+    return TableScorer(_frozen(scores))
 
 
 def label_agg_bayes_scorer_sum(eta: EtaTable) -> TableScorer:
-    """Optimal scorer for the sum-aggregated label under absolute-difference costs."""
-    return TableScorer(eta.eta.sum(axis=1))
+    """Optimal scorer for the sum-aggregated label under absolute-difference costs.
+
+    The columns are added in order, the bits of eta.sum(axis=1) up to K = 7;
+    numpy sums 8 or more columns pairwise, which can move the last ulp.
+    """
+    columns = eta.eta.T
+    scores = columns[0].copy()
+    for column in columns[1:]:
+        scores += column
+    return TableScorer(_frozen(scores))
 
 
 def label_agg_bayes_scorer_weighted(eta: EtaTable, alphas) -> TableScorer:
@@ -184,10 +195,15 @@ def dictatorship_analysis(alphas, eta: EtaTable | None = None) -> DictatorshipRe
         scores = eta.eta @ alpha / eta.K
         pos = np.flatnonzero(eta.eta[:, dictator] == 1.0)
         neg = np.flatnonzero(eta.eta[:, dictator] == 0.0)
-        for i in pos:
-            for j in neg:
-                if scores[i] <= scores[j]:
-                    violations.append((int(i), int(j)))
+        # a pair violates when scores[i] <= scores[j], which NaN never does;
+        # only positives at most the top negative and negatives at least the
+        # bottom positive can take part, so the pairs are listed among those
+        lowest = np.fmin.reduce(scores[pos], initial=np.inf)
+        highest = np.fmax.reduce(scores[neg], initial=-np.inf)
+        if lowest <= highest:
+            pos, neg = pos[scores[pos] <= highest], neg[scores[neg] >= lowest]
+            i, j = np.nonzero(scores[pos, None] <= scores[None, neg])
+            violations = list(zip(pos[i].tolist(), neg[j].tolist()))
     return DictatorshipReport(dictator=dictator, violations=tuple(violations))
 
 

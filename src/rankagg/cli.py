@@ -169,7 +169,7 @@ def _merge(args: argparse.Namespace, options: dict) -> argparse.Namespace:
 _SWEEP_SCORERS = {"labelagg": label_agg_bayes_scorer_sum, "lossagg": loss_agg_bayes_scorer}
 
 
-def _sweep_point(eta, labels, tau, rho, pi2_target, seed):
+def _sweep_point(tau, rho, pi2_target, eta, labels, seed):
     pi2_emp = float(labels.labels[:, 1].mean())
     rows = []
     for method, build_scorer in _SWEEP_SCORERS.items():
@@ -211,8 +211,10 @@ def cmd_skew_sweep(args):
             raise ValueError(f"{args.config}: {', '.join(in_config)}: {need}")
         raise _UsageError(f"{', '.join(f'--{key} {value:g}' for key, value in bad)}: {need}")
     rows = []
-    for tau, rho, target, eta, labels in sigmoid_sweep(args.n, args.seed, args.tau, args.rho, args.pi2):
-        rows += _sweep_point(eta, labels, tau, rho, target, args.seed)
+    for point in sigmoid_sweep(args.n, args.seed, args.tau, args.rho, args.pi2):
+        rows += _sweep_point(*point, args.seed)
+        # free this point's eta and labels before the generator builds the next
+        del point
     rows.sort(key=lambda r: (r[1], r[4], r[5]))
     header = [
         "experiment",

@@ -1,7 +1,9 @@
 """Domain types shared by every other module.
 
 All types are immutable after construction (arrays are stored with the
-writeable flag cleared) and safe to share across threads.
+writeable flag cleared) and safe to share across threads. A constructor
+adopts an owned, read-only, C-ordered array of the right dtype as is and
+copies anything else (see _frozen_array).
 """
 
 from __future__ import annotations
@@ -60,9 +62,29 @@ def _positive_weights(weights, count: int | None = None) -> np.ndarray:
     return a
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A fresh array with its writeable flag cleared, for a constructor to adopt without a copy."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen_array(values, dtype=float, ndim=None, nan_name=None) -> np.ndarray:
-    """Read-only copy; with nan_name set, NaN entries raise ValueError naming it."""
-    arr = np.array(values, dtype=dtype)
+    """Read-only C-ordered array; with nan_name set, NaN entries raise ValueError naming it.
+
+    An ndarray that is already read-only, owns its data, is C-contiguous and
+    has the dtype is adopted, not copied: whoever hands it over gives up
+    writing to it. Any other input is copied, so a caller's writable array or
+    a view of one never aliases a frozen object. The C order fixes the bits
+    of axis reductions such as PriorVector.from_eta's column means.
+    """
+    adopt = (
+        type(values) is np.ndarray
+        and not values.flags.writeable
+        and values.base is None
+        and values.flags.c_contiguous
+        and values.dtype == dtype
+    )
+    arr = values if adopt else np.array(values, dtype=dtype, order="C")
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected {ndim}-dimensional array, got shape {arr.shape}")
     if nan_name is not None and np.isnan(arr).any():

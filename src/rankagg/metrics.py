@@ -130,6 +130,9 @@ def _label_aucs(scores, labels) -> np.ndarray:
     rows = np.ascontiguousarray(np.asarray(labels).T, dtype=bool)
     n = rows.shape[1]
     order, starts = _ranked(scores, n)
+    # the labels in score order; the order is dropped before the ranks are built
+    rows = np.take(rows, order, axis=1)
+    del order
     n_pos = np.count_nonzero(rows, axis=1)
     n_neg = n - n_pos
     bad = np.flatnonzero((n_pos == 0) | (n_neg == 0))
@@ -140,7 +143,8 @@ def _label_aucs(scores, labels) -> np.ndarray:
     else:
         sizes = np.diff(starts, append=n)
         twice_rank = np.repeat(2 * starts + sizes - 1, sizes)
-    twice_count = np.take(rows, order, axis=1) @ twice_rank - n_pos * (n_pos - 1)
+    # one label at a time, so the int64 cast of a 0/1 row takes n entries, not K n
+    twice_count = np.array([row @ twice_rank for row in rows]) - n_pos * (n_pos - 1)
     return (twice_count / 2) / (n_pos * n_neg)
 
 

@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import EtaTable, InstanceSet, SampledLabels
+from .core import EtaTable, InstanceSet, SampledLabels, _frozen
 from .errors import DegenerateLabel
 
 __all__ = [
@@ -59,13 +59,19 @@ class SigmoidSynthConfig(NamedTuple):
 
 
 _W1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-_W2 = np.array([0.0, 1.0])
 
 
-def _sigmoid(z):
-    """Logistic function 1 / (1 + exp(-z)); exp overflows to inf for z < -709, giving 0."""
+def _sigmoid(z, out=None):
+    """Logistic function 1 / (1 + exp(-z)); exp overflows to inf for z < -709, giving 0.
+
+    Every step runs in the one buffer out, a fresh array unless given; out
+    may be z itself.
+    """
+    out = np.negative(z, out=out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _mean_sigmoid(rho: float, x: np.ndarray, tau: float, buf: np.ndarray) -> float:
@@ -125,7 +131,8 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
         for _ in range(16):
             value = _mean_sigmoid(r, x, tau, buf)
             lo, hi = (r, hi) if value > target else (lo, r)
-            slope = -tau * float(np.dot(buf, 1.0 - buf)) / x.size
+            # mean s (1 - s) as mean s - mean s^2, with no second buffer
+            slope = -tau * (value - float(np.dot(buf, buf)) / x.size)
             step = r - (value - target) / slope if slope < 0.0 else np.nan
             if abs(step - r) <= 1e-12 * max(1.0, abs(r)):
                 r = step
@@ -149,7 +156,7 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
 
 
 def _sample_labels(eta: np.ndarray, uniforms: np.ndarray) -> SampledLabels:
-    return SampledLabels((uniforms < eta).astype(np.int64))
+    return SampledLabels(_frozen((uniforms < eta).astype(np.int64)))
 
 
 def _sigmoid_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,15 +167,25 @@ def _sigmoid_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _sigmoid_eta1(feats: np.ndarray, tau: float) -> np.ndarray:
     """gen_sigmoid_pair's eta1 = s(tau w1.x), which does not depend on rho."""
-    return _sigmoid(tau * (feats @ _W1))
+    z = feats @ _W1
+    z *= tau
+    return _sigmoid(z, out=z)
 
 
 def _sigmoid_pair_from_draws(
     feats: np.ndarray, uniforms: np.ndarray, eta1: np.ndarray, tau: float, rho: float
 ) -> tuple[EtaTable, SampledLabels]:
-    """gen_sigmoid_pair's eta table and labels at (tau, rho) for already drawn inputs and eta1."""
-    eta = np.column_stack([eta1, _sigmoid(tau * (feats @ _W2 - rho))])
-    return EtaTable(eta), _sample_labels(eta, uniforms)
+    """gen_sigmoid_pair's eta table and labels at (tau, rho) for already drawn inputs and eta1.
+
+    eta2 = s(tau (w2.x - rho)) is built in eta's second column; w2 = (0, 1),
+    so w2.x is x2 bit for bit.
+    """
+    eta = np.empty((feats.shape[0], 2))
+    eta[:, 0] = eta1
+    eta2 = np.subtract(feats[:, 1], rho, out=eta[:, 1])
+    eta2 *= tau
+    _sigmoid(eta2, out=eta2)
+    return EtaTable(_frozen(eta)), _sample_labels(eta, uniforms)
 
 
 def gen_sigmoid_pair(config: SigmoidSynthConfig) -> SynthData:

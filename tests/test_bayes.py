@@ -13,6 +13,7 @@ from rankagg import (
     EtaTable,
     InvalidCosts,
     JointLabelModel,
+    PriorVector,
     Sum,
     aggregate_distribution,
     alpha_vector,
@@ -224,6 +225,35 @@ def test_dictatorship_constraint_holds_on_deterministic_tables():
         assert report.violations == ()
 
 
+def _violations_by_double_loop(alphas, eta):
+    """Every (positive, negative) pair on the dictator label that the
+    loss-aggregation scores fail to order, checked one pair at a time."""
+    alpha = np.asarray(alphas, dtype=float)
+    if alpha[0] == alpha[1]:
+        return ()
+    dictator = 0 if alpha[0] > alpha[1] else 1
+    scores = eta.eta @ alpha / eta.K
+    violations = []
+    for i in np.flatnonzero(eta.eta[:, dictator] == 1.0):
+        for j in np.flatnonzero(eta.eta[:, dictator] == 0.0):
+            if scores[i] <= scores[j]:
+                violations.append((int(i), int(j)))
+    return tuple(violations)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, np.inf, -np.inf, np.nan])), min_size=2, max_size=2),
+    arrays(np.float64, st.tuples(st.integers(1, 12), st.just(2)), elements=st.sampled_from([0.0, 1.0])),
+)
+def test_dictatorship_violations_match_the_double_loop(alphas, table):
+    eta = EtaTable(table)
+    with np.errstate(invalid="ignore"):
+        got = dictatorship_analysis(alphas, eta=eta).violations
+        assert got == _violations_by_double_loop(alphas, eta)
+    assert all(type(i) is int and type(j) is int for i, j in got)
+
+
 _ALL = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -261,3 +291,22 @@ def test_label_agg_weighted_scorer_validation():
         label_agg_bayes_scorer_weighted(eta, [1.0, 0.0])
     vals = label_agg_bayes_scorer_weighted(eta, [2.0, 4.0]).scores()
     assert vals == pytest.approx([3.0, 3.0])
+
+
+@pytest.mark.parametrize("K", range(1, 21))
+def test_sum_scorer_adds_the_columns_in_order(K):
+    eta = EtaTable(np.random.default_rng(K).uniform(0.0, 1.0, (1000, K)))
+    got, ref = label_agg_bayes_scorer_sum(eta).scores(), eta.eta.sum(axis=1)
+    if K <= 7:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        # numpy sums 8 or more columns pairwise
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+def test_fortran_and_c_ordered_eta_give_the_same_bits():
+    values = np.random.default_rng(0).uniform(0.05, 0.95, (100_000, 2))
+    c_order, f_order = EtaTable(values), EtaTable(np.asfortranarray(values))
+    assert PriorVector.from_eta(f_order).pi.tobytes() == PriorVector.from_eta(c_order).pi.tobytes()
+    assert alpha_vector(f_order, [1.0, 2.0]).tobytes() == alpha_vector(c_order, [1.0, 2.0]).tobytes()
+    assert loss_agg_bayes_scorer(f_order).scores().tobytes() == loss_agg_bayes_scorer(c_order).scores().tobytes()

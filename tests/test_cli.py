@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,24 @@ def test_skew_sweep_reruns_byte_identical(tmp_path):
     args[2] = str(tmp_path / "b.csv")
     assert main(args) == 0
     assert first == _stable_bytes(tmp_path / "b.csv")
+
+
+def test_skew_sweep_holds_one_point_at_a_time(tmp_path):
+    # The run keeps its draws (32 bytes per instance) and eta1 (8), builds one
+    # point at a time (eta and labels, 32), scores it and reports its AUCs.
+    # A second live point, or a copy of eta, labels or scores on the way
+    # into a frozen type, pushes the traced peak well past this bound.
+    n = 50_000
+    out = str(tmp_path / "s.csv")
+    # a small run first, so that one-time imports and caches stay out of the peak
+    assert main(["skew-sweep", "--n", "2000", "--no-plot", "--out", out]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["skew-sweep", "--n", str(n), "--no-plot", "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 110.0
 
 
 def test_no_plot_skips_svg_without_touching_csv(tmp_path):

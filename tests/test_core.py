@@ -282,3 +282,45 @@ def test_probability_tables_priors_and_costs_reject_nan(n, K, seed, data):
         bad.flat[data.draw(st.integers(0, bad.size - 1))] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             build(bad)
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def test_frozen_types_adopt_owned_read_only_arrays_and_copy_the_rest():
+    eta = _read_only(np.full((4, 2), 0.5))
+    labels = _read_only(np.ones((4, 2), dtype=np.int64))
+    scores = _read_only(np.arange(4.0))
+    assert np.shares_memory(EtaTable(eta).eta, eta)
+    assert np.shares_memory(SampledLabels(labels).labels, labels)
+    assert np.shares_memory(TableScorer(scores).values, scores)
+    # a writable input is copied and stays the caller's to write
+    writable = np.full((4, 2), 0.5)
+    table = EtaTable(writable)
+    assert not np.shares_memory(table.eta, writable)
+    writable[0, 0] = 1.0
+    assert table.eta[0, 0] == 0.5
+    # so are a read-only view, whose base its owner may still write, a
+    # Fortran-ordered array and another dtype; every copy is C-ordered
+    base = np.full((6, 2), 0.5)
+    others = [
+        (_read_only(base[:4]), EtaTable, "eta"),
+        (_read_only(np.asfortranarray(np.full((4, 2), 0.5))), EtaTable, "eta"),
+        (_read_only(np.ones((4, 2), dtype=np.int32)), SampledLabels, "labels"),
+    ]
+    for values, build, field in others:
+        stored = getattr(build(values), field)
+        assert not np.shares_memory(stored, values)
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+    # adoption keeps every check
+    for bad, build in [
+        (np.array([[0.5, np.nan]]), EtaTable),
+        (np.array([[0.5, 1.5]]), EtaTable),
+        (np.array([0.5, 0.5]), EtaTable),
+        (np.array([[0, 2]]), SampledLabels),
+        (np.array([np.nan]), TableScorer),
+    ]:
+        with pytest.raises(ValueError):
+            build(_read_only(bad))
