@@ -28,7 +28,13 @@ the median and quartiles of its repeats. Cases:
 - ``train_epoch_untraced_n600``: the same training with ``per_epoch=False``,
   as ``rankagg train`` runs it without ``--trace-out``: no per-epoch loss
   or training AUCs. A source tree whose ``train`` has no ``per_epoch``
-  leaves this case out.
+  leaves this case out;
+- ``oracle_n25_seeds0to4``, ``oracle_n60_seed3``, ``oracle_n100_seed1``:
+  ``oracle.maximizer_sets`` plus ``oracle.auc_scatter`` at the ``rankagg
+  oracle`` defaults (P=3, weights up to 5) on ``gen_gaussian_bilevel``
+  labels; seconds for all of a case's seeds, over ORACLE_REPEATS repeats.
+  A case whose grid exceeds the source tree's default budget records the
+  ``BudgetExceeded`` size and budget instead of a time.
 
 Besides the timings, ``memory`` records the tracemalloc peak of one pass over
 the same twelve points, after a warm-up pass, in bytes and in bytes per
@@ -72,6 +78,9 @@ SWEEP_N = 100_000
 REPEATS = 7
 TRAIN_N = 600
 TRAIN_EPOCHS = 60
+ORACLE_CASES = {"oracle_n25_seeds0to4": (25, (0, 1, 2, 3, 4)), "oracle_n60_seed3": (60, (3,)),
+                "oracle_n100_seed1": (100, (1,))}
+ORACLE_REPEATS = 3
 
 
 def _git(src: Path, *args: str) -> str | None:
@@ -175,7 +184,27 @@ def measure() -> tuple[dict, dict]:
         memory[f"sweep_points_n{SWEEP_N}"] = {"traced_peak_bytes": peak, "bytes_per_instance": peak / SWEEP_N}
     absdiff = CostMatrix.absdiff(8)
     cases["scale_condition_absdiff_m8"] = _timings(lambda: scale_condition_holds(absdiff), number=100, repeats=REPEATS)
+    cases.update(_oracle_cases())
     return cases, memory
+
+
+def _oracle_cases() -> dict:
+    from rankagg import BudgetExceeded, gen_gaussian_bilevel
+    from rankagg.oracle import auc_scatter, maximizer_sets
+
+    cases = {}
+    for name, (n, seeds) in ORACLE_CASES.items():
+        labels = [gen_gaussian_bilevel(n, seed).labels for seed in seeds]
+
+        def scan_all():
+            for lab in labels:
+                auc_scatter(maximizer_sets(lab).scan)
+
+        try:
+            cases[name] = _timings(scan_all, number=1, repeats=ORACLE_REPEATS)
+        except BudgetExceeded as exc:
+            cases[name] = {"budget_exceeded": {"size": exc.total, "budget": exc.budget}}
+    return cases
 
 
 def _surrogate_cases() -> dict:
@@ -232,7 +261,10 @@ def main(argv=None) -> int:
     data["runs"][args.label] = record
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     for name, case in record["cases"].items():
-        print(f"{args.label:>8} {name:<34} {case['median_s'] * 1e3:10.3f} ms")
+        if "median_s" in case:
+            print(f"{args.label:>8} {name:<34} {case['median_s'] * 1e3:10.3f} ms")
+        else:
+            print(f"{args.label:>8} {name:<34} over budget {case['budget_exceeded']}")
     for name, peak in record["memory"].items():
         print(f"{args.label:>8} {name + ' traced peak':<34} {peak['traced_peak_bytes'] / 1e6:10.3f} MB")
     return 0

@@ -5,7 +5,8 @@ Two exhaustive searches live here:
     population pairwise objective (a scorer on n points is a weak order, so
     this search is complete), by dynamic programming over subsets;
   - the bi-level hypothesis grid for deterministic two-label data, used
-    to compare the maximizer sets of the competing objectives.
+    to compare the maximizer sets of the competing objectives; it is
+    enumerated by occupancy classes, not one hypothesis at a time.
 
 Weak-order search in the style of Held and Karp (1962): f(T), the best
 objective over items T, is the maximum over nonempty top blocks B of T of
@@ -17,13 +18,14 @@ bit i; the winning order is rebuilt from these choices, top block first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SampledLabels, Scorer, TableScorer
 from .errors import BudgetExceeded, DegenerateLabel, TooLarge
-from .metrics import h_matrix, pareto_front, population_pair_weights
+from .metrics import h_matrix, population_pair_weights
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -34,8 +36,6 @@ __all__ = [
     "certify_bayes",
     "HypothesisSpace",
     "build_hypothesis_space",
-    "enumerate_hypotheses",
-    "hypothesis_scores",
     "OracleScan",
     "scan_hypotheses",
     "MaximizerSets",
@@ -131,7 +131,9 @@ class HypothesisSpace:
     score 0 when both are 0. Each of the M disagreeing rows takes a score
     in {0, ..., P-1}, giving P^M hypotheses; this keeps disagreeing rows
     strictly below the both-positive group, the regime in which the
-    maximizer-set relations among the objectives are exact.
+    maximizer-set relations among the objectives are exact. Every pair
+    count depends only on how many rows of each disagreement group sit at
+    each value, so the grid is scanned by these occupancy classes.
     """
 
     labels: np.ndarray  # n x 2
@@ -154,9 +156,8 @@ class HypothesisSpace:
         return self.P**self.M
 
     @property
-    def disagree_rows(self) -> np.ndarray:
-        """Disagreeing row indices in increasing order (enumeration digits)."""
-        return np.sort(np.concatenate([self.idx_a, self.idx_b]))
+    def classes(self) -> int:
+        return math.comb(self.idx_a.size + self.P - 1, self.P - 1) * math.comb(self.idx_b.size + self.P - 1, self.P - 1)
 
 
 def build_hypothesis_space(labels: SampledLabels, P: int, budget: int = DEFAULT_BUDGET) -> HypothesisSpace:
@@ -173,64 +174,51 @@ def build_hypothesis_space(labels: SampledLabels, P: int, budget: int = DEFAULT_
         idx_a=np.flatnonzero((lab[:, 0] == 1) & (lab[:, 1] == 0)),
         idx_b=np.flatnonzero((lab[:, 0] == 0) & (lab[:, 1] == 1)),
     )
-    if space.total > budget:
-        raise BudgetExceeded(space.total, budget)
+    if space.classes > budget:
+        raise BudgetExceeded(space.classes, budget)
     return space
 
 
-def _base_scores(space: HypothesisSpace) -> np.ndarray:
-    scores = np.zeros(space.n)
-    scores[space.idx_11] = float(space.P)
-    return scores
+def _occupancies(rows: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every count vector of rows items over P values, with its multinomial.
 
-
-def hypothesis_scores(space: HypothesisSpace, index: int) -> TableScorer:
-    """Decode a lexicographic hypothesis index into its score table."""
-    if not (0 <= index < space.total):
-        raise IndexError("hypothesis index out of range")
-    scores = _base_scores(space)
-    rows = space.disagree_rows
-    rem = index
-    for pos in range(rows.size - 1, -1, -1):
-        scores[rows[pos]] = rem % space.P
-        rem //= space.P
-    return TableScorer(scores)
-
-
-def enumerate_hypotheses(space: HypothesisSpace):
-    """Yield every hypothesis as a TableScorer, in lexicographic order."""
-    rows = space.disagree_rows
-    base = _base_scores(space)
-    for assignment in itertools.product(range(space.P), repeat=rows.size):
-        scores = base.copy()
-        scores[rows] = assignment
-        yield TableScorer(scores)
+    Stars and bars: P - 1 bars among rows + P - 1 slots; the gaps between
+    them are the counts. Multinomials are exact Python ints (object array).
+    """
+    occ, mult = [], []
+    for bars in itertools.combinations(range(rows + P - 1), P - 1):
+        edges = (-1, *bars, rows + P - 1)
+        occ.append([hi - lo - 1 for lo, hi in zip(edges, edges[1:])])
+        mult.append(math.factorial(rows) // math.prod(map(math.factorial, occ[-1])))
+    return np.array(occ, dtype=np.int64), np.array(mult, dtype=object)
 
 
 @dataclass(frozen=True)
 class OracleScan:
-    """Integer pair counts for every hypothesis.
+    """Integer pair counts for every occupancy class.
 
-    For label k, count_k[h] is twice the number of correctly ranked
+    Class c pairs the A-occupancy c // C_b with the B-occupancy c % C_b.
+    For label k, count_k[c] is twice the number of correctly ranked
     (positive, negative) pairs plus the number of tied pairs, so the
-    per-label AUC is count_k / (2 * denom_k). zeros[h] counts disagreeing
-    rows assigned score 0.
+    per-label AUC is count_k / (2 * denom_k). zeros[c] counts disagreeing
+    rows at score 0; multiplicity[c], a Python int, counts its hypotheses.
     """
 
     space: HypothesisSpace
     count_1: np.ndarray
     count_2: np.ndarray
     zeros: np.ndarray
+    multiplicity: np.ndarray
     denom_1: int
     denom_2: int
 
 
-def scan_hypotheses(space: HypothesisSpace, batch: int = 1 << 18) -> OracleScan:
-    """Vectorized pair counting over the whole hypothesis grid.
+def scan_hypotheses(space: HypothesisSpace) -> OracleScan:
+    """Pair counting over every occupancy class of the hypothesis grid.
 
-    Pairs within the pinned groups and against them depend only on how
-    many disagreeing rows sit at each score value, so each hypothesis
-    reduces to per-value counts of its two disagreement groups.
+    Pairs within the pinned groups and against them depend only on each
+    group's count at score 0; pairs across the disagreement groups are
+    matrix products of one group's occupancies with the other's.
     """
     g1, g0 = space.idx_11.size, space.idx_00.size
     a, b = space.idx_a.size, space.idx_b.size
@@ -238,44 +226,33 @@ def scan_hypotheses(space: HypothesisSpace, batch: int = 1 << 18) -> OracleScan:
     denom_2 = (g1 + b) * (g0 + a)
     if denom_1 == 0 or denom_2 == 0:
         raise DegenerateLabel("a label has a single class; AUCs undefined")
-    rows = space.disagree_rows
-    in_a = np.isin(rows, space.idx_a)
-    cols_a = np.flatnonzero(in_a)
-    cols_b = np.flatnonzero(~in_a)
-    P, M, total = space.P, space.M, space.total
-    powers = P ** np.arange(M - 1, -1, -1, dtype=np.int64)
-    count_1 = np.empty(total, dtype=np.int64)
-    count_2 = np.empty(total, dtype=np.int64)
-    zeros = np.empty(total, dtype=np.int64)
+    occ_a, mult_a = _occupancies(a, space.P)
+    occ_b, mult_b = _occupancies(b, space.P)
+    below_a = np.cumsum(occ_a, axis=1) - occ_a  # A rows strictly below value v
+    below_b = np.cumsum(occ_b, axis=1) - occ_b
+    ties = (occ_a @ occ_b.T).ravel()
+    cross_ab = (occ_a @ below_b.T).ravel()  # A above B
+    cross_ba = (below_a @ occ_b.T).ravel()  # B above A
+    n0a = np.repeat(occ_a[:, 0], occ_b.shape[0])
+    n0b = np.tile(occ_b[:, 0], occ_a.shape[0])
     const_1 = 2 * g1 * g0 + 2 * g1 * b + 2 * a * g0
     const_2 = 2 * g1 * g0 + 2 * g1 * a + 2 * b * g0
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
-        vals = (idx[:, None] // powers[None, :]) % P
-        # per-value occupancy of each disagreement group
-        occ_a = np.stack([(vals[:, cols_a] == v).sum(axis=1) for v in range(P)], axis=1)
-        occ_b = np.stack([(vals[:, cols_b] == v).sum(axis=1) for v in range(P)], axis=1)
-        below_b = np.cumsum(occ_b, axis=1) - occ_b  # B rows strictly below value v
-        below_a = np.cumsum(occ_a, axis=1) - occ_a
-        cross_ab = (occ_a * below_b).sum(axis=1)  # A above B
-        cross_ba = (occ_b * below_a).sum(axis=1)  # B above A
-        ties = (occ_a * occ_b).sum(axis=1)
-        n0a, n0b = occ_a[:, 0], occ_b[:, 0]
-        sl = slice(start, start + idx.size)
-        count_1[sl] = const_1 - g0 * n0a + 2 * cross_ab + ties
-        count_2[sl] = const_2 - g0 * n0b + 2 * cross_ba + ties
-        zeros[sl] = n0a + n0b
-    return OracleScan(space, count_1, count_2, zeros, denom_1, denom_2)
+    count_1 = const_1 - g0 * n0a + 2 * cross_ab + ties
+    count_2 = const_2 - g0 * n0b + 2 * cross_ba + ties
+    multiplicity = np.multiply.outer(mult_a, mult_b).ravel()
+    return OracleScan(space, count_1, count_2, n0a + n0b, multiplicity, denom_1, denom_2)
 
 
 @dataclass(frozen=True)
 class MaximizerSets:
-    """Argmax index sets over the hypothesis grid, per objective.
+    """Argmax class-index sets over the hypothesis grid, per objective.
 
-    loss_agg maps each weight pair to the maximizers of the unnormalized
-    weighted correct-pair count a1*count_1 + a2*count_2 (integer
-    arithmetic, so ties are exact). label_agg_sum uses uniform costs on
-    the summed label; label_product uses the AND label.
+    Each set is a union of nonempty classes, so fewer classes within a
+    superset means a proper subset of hypotheses. loss_agg maps each
+    weight pair to the maximizers of the unnormalized weighted correct-pair
+    count a1*count_1 + a2*count_2 (integer arithmetic, so ties are exact).
+    label_agg_sum uses uniform costs on the summed label; label_product
+    uses the AND label.
     """
 
     scan: OracleScan
@@ -306,7 +283,7 @@ def maximizer_sets(
     label_agg_sum = np.flatnonzero(laa_key == laa_key.max())
     # AND label: the both-positive group is pinned strictly above every
     # other row, so every hypothesis attains the maximum
-    label_product = np.arange(space.total, dtype=np.int64)
+    label_product = np.arange(scan.count_1.size, dtype=np.int64)
     return MaximizerSets(scan, loss_agg, label_agg_sum, label_product)
 
 
@@ -321,14 +298,17 @@ def index_equal(a: np.ndarray, b: np.ndarray) -> bool:
 def auc_scatter(scan: OracleScan) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Unique per-label AUC pairs with multiplicities and a frontier flag.
 
-    Returns (auc_1, auc_2, count, on_front); the front is computed over
-    the unique integer count pairs, exactly (they are far below 2^53, so
-    pareto_front's float64 copy holds them exactly).
+    Returns (auc_1, auc_2, count, on_front); count sums the classes'
+    multiplicities as Python ints. The unique integer count pairs come
+    sorted by count_1, then count_2, so a pair is on the front iff its
+    count_2 exceeds every count_2 after it.
     """
     pairs = np.stack([scan.count_1, scan.count_2], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    on_front = np.zeros(uniq.shape[0], dtype=bool)
-    on_front[pareto_front(uniq)] = True
+    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    counts = np.zeros(uniq.shape[0], dtype=object)
+    np.add.at(counts, inverse.ravel(), scan.multiplicity)
+    later_max = np.maximum.accumulate(uniq[::-1, 1])[::-1]
+    on_front = np.append(uniq[:-1, 1] > later_max[1:], True)
     auc_1 = uniq[:, 0] / (2.0 * scan.denom_1)
     auc_2 = uniq[:, 1] / (2.0 * scan.denom_2)
     return auc_1, auc_2, counts, on_front

@@ -295,6 +295,42 @@ def test_oracle_budget_exhaustion_exits_4(tmp_path):
     assert code == 4
 
 
+def test_oracle_certifies_grids_above_a_trillion_hypotheses(tmp_path, capsys):
+    # 26 disagreeing rows: 3^26 hypotheses in 10,098 occupancy classes
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--out", str(out), "--n", "100", "--seed", "2", "--no-plot"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 9 and all(line.startswith("PASS") for line in lines)
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert sum(int(row[2]) for row in rows[1:]) == 3**26
+
+
+def test_oracle_hypothesis_counts_stay_exact_past_int64(tmp_path):
+    # 51 disagreeing rows: 3^51 > 2^63 hypotheses
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--out", str(out), "--n", "200", "--seed", "2", "--no-plot"]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert sum(int(row[2]) for row in rows[1:]) == 3**51 > 2**63
+
+
+def test_oracle_frontier_endpoints_must_be_single_hypotheses(tmp_path, capsys, monkeypatch):
+    # a one-class maximizer set is one hypothesis only if its multiplicity is 1
+    real = cli.maximizer_sets
+
+    def doubled(*args, **kwargs):
+        sets = real(*args, **kwargs)
+        sets.scan.multiplicity[:] = 2
+        return sets
+
+    monkeypatch.setattr(cli, "maximizer_sets", doubled)
+    assert main(["oracle", "--out", str(tmp_path / "o.csv"), "--n", "25", "--seed", "2", "--no-plot"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL frontier endpoint matches the label-1-heavy maximizer",
+        "FAIL frontier endpoint matches the label-2-heavy maximizer",
+    ]
+
+
 def test_bound_sweep_writes_gap_and_bound_columns(tmp_path):
     out = tmp_path / "bound.csv"
     code = main(

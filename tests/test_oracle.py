@@ -1,9 +1,10 @@
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,6 +18,7 @@ from rankagg import (
     SampledLabels,
     Sum,
     TooLarge,
+    bipartite_auc_empirical,
     certify_bayes,
     label_agg_bayes_scorer_sum,
     loss_agg_bayes_scorer,
@@ -27,10 +29,10 @@ from rankagg import (
 from rankagg.metrics import h_matrix, pareto_front, population_pair_weights
 from rankagg.oracle import (
     MAX_EXHAUSTIVE_N,
+    OracleScan,
+    _occupancies,
     auc_scatter,
     build_hypothesis_space,
-    enumerate_hypotheses,
-    hypothesis_scores,
     index_equal,
     index_subset,
     scan_hypotheses,
@@ -133,35 +135,61 @@ def _demo_labels():
 
 def test_hypothesis_space_shape_and_budget():
     space = build_hypothesis_space(_demo_labels(), P=3)
-    assert space.M == 4 and space.total == 81
+    assert space.M == 4 and space.total == 81 and space.classes == 36
+    assert build_hypothesis_space(_demo_labels(), P=3, budget=36).classes == 36
     with pytest.raises(BudgetExceeded):
-        build_hypothesis_space(_demo_labels(), P=3, budget=80)
+        build_hypothesis_space(_demo_labels(), P=3, budget=35)
 
 
-def test_hypothesis_scores_match_enumeration_order():
-    space = build_hypothesis_space(_demo_labels(), P=3)
-    for index, scorer in enumerate(enumerate_hypotheses(space)):
-        np.testing.assert_array_equal(
-            scorer.scores(), hypothesis_scores(space, index).scores()
-        )
-        if index > 30:
-            break
-    pinned = hypothesis_scores(space, 0).scores()
-    assert pinned[0] == 3.0 and pinned[2] == 0.0
+def _direct_counts(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """2 * correctly ranked plus tied (positive, negative) pairs, per score row."""
+    diff = scores[:, y == 1, None] - scores[:, None, y == 0]
+    return 2 * (diff > 0).sum(axis=(1, 2)) + (diff == 0).sum(axis=(1, 2))
 
 
-def test_scan_matches_direct_pair_counting():
-    from rankagg import bipartite_auc_empirical
-
-    labels = _demo_labels()
-    space = build_hypothesis_space(labels, P=3)
-    scan = scan_hypotheses(space, batch=7)  # odd batch to exercise chunking
-    for index, scorer in enumerate(enumerate_hypotheses(space)):
-        s = scorer.scores()
-        a1 = bipartite_auc_empirical(s, labels.labels[:, 0])
-        a2 = bipartite_auc_empirical(s, labels.labels[:, 1])
-        assert scan.count_1[index] / (2 * scan.denom_1) == pytest.approx(a1, abs=1e-12)
-        assert scan.count_2[index] / (2 * scan.denom_2) == pytest.approx(a2, abs=1e-12)
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+@example(4, 4, 4, 2, 2, random.Random(0))  # the largest grid: 4^8 assignments
+def test_scan_matches_direct_pair_counting(P, a, b, g1, g0, rnd):
+    assume(g0 + a > 0 and g0 + b > 0)
+    rows = [[1, 1]] * g1 + [[0, 0]] * g0 + [[1, 0]] * a + [[0, 1]] * b
+    rnd.shuffle(rows)
+    labels = np.array(rows)
+    space = build_hypothesis_space(SampledLabels(labels), P)
+    scan = scan_hypotheses(space)
+    assert scan.count_1.size == space.classes
+    # every one of the P^M assignments of the disagreeing rows
+    grid = np.array(list(itertools.product(range(P), repeat=a + b)), dtype=float).reshape(P ** (a + b), a + b)
+    scores = np.zeros((grid.shape[0], labels.shape[0]))
+    scores[:, space.idx_11] = P
+    scores[:, np.concatenate([space.idx_a, space.idx_b])] = grid
+    # each assignment's class, from the per-value occupancy of each group
+    index_a = {tuple(o): i for i, o in enumerate(_occupancies(a, P)[0].tolist())}
+    index_b = {tuple(o): i for i, o in enumerate(_occupancies(b, P)[0].tolist())}
+    occ = (grid[:, :, None] == np.arange(P)).astype(int)
+    classes = np.array([
+        index_a[tuple(oa)] * len(index_b) + index_b[tuple(ob)]
+        for oa, ob in zip(occ[:, :a].sum(axis=1).tolist(), occ[:, a:].sum(axis=1).tolist())
+    ])
+    np.testing.assert_array_equal(np.bincount(classes, minlength=space.classes), scan.multiplicity.astype(np.int64))
+    assert scan.multiplicity.sum() == space.total
+    np.testing.assert_array_equal(scan.count_1[classes], _direct_counts(scores, labels[:, 0]))
+    np.testing.assert_array_equal(scan.count_2[classes], _direct_counts(scores, labels[:, 1]))
+    np.testing.assert_array_equal(scan.zeros[classes], (grid == 0).sum(axis=1))
+    _, first = np.unique(classes, return_index=True)
+    for h in first:
+        c = classes[h]
+        a1 = bipartite_auc_empirical(scores[h], labels[:, 0])
+        a2 = bipartite_auc_empirical(scores[h], labels[:, 1])
+        assert scan.count_1[c] / (2 * scan.denom_1) == pytest.approx(a1, abs=1e-12)
+        assert scan.count_2[c] / (2 * scan.denom_2) == pytest.approx(a2, abs=1e-12)
 
 
 def test_maximizer_set_relations():
@@ -196,3 +224,16 @@ def test_auc_scatter_front_flags():
     assert on_front[np.argmax(auc_1 + 1e-9 * auc_2)]
     assert np.all(auc_1 <= 1.0) and np.all(auc_2 <= 1.0)
     assert best_1 > 0.5
+
+
+@settings(deadline=None, max_examples=150)
+@given(arrays(np.int64, st.tuples(st.integers(1, 40), st.just(2)), elements=st.integers(0, 6)), st.data())
+def test_auc_scatter_front_matches_pareto_front(pairs, data):
+    # small entries make duplicate pairs, which pareto_front keeps
+    mult = np.array(data.draw(st.lists(st.integers(1, 2**70), min_size=len(pairs), max_size=len(pairs))), dtype=object)
+    scan = OracleScan(None, pairs[:, 0], pairs[:, 1], np.zeros(len(pairs)), mult, 1, 1)
+    auc_1, auc_2, counts, on_front = auc_scatter(scan)
+    uniq = [(int(2 * x), int(2 * y)) for x, y in zip(auc_1, auc_2)]
+    assert {uniq[i] for i in np.flatnonzero(on_front)} == {tuple(pairs[i]) for i in pareto_front(pairs)}
+    raw = [tuple(p) for p in pairs.tolist()]
+    assert counts.tolist() == [sum(m for p, m in zip(raw, mult) if p == u) for u in uniq]
