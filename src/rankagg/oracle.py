@@ -157,7 +157,8 @@ class HypothesisSpace:
 
     @property
     def classes(self) -> int:
-        return math.comb(self.idx_a.size + self.P - 1, self.P - 1) * math.comb(self.idx_b.size + self.P - 1, self.P - 1)
+        a, b, P = self.idx_a.size, self.idx_b.size, self.P
+        return math.comb(a + P - 1, P - 1) * math.comb(b + P - 1, P - 1)
 
 
 def build_hypothesis_space(labels: SampledLabels, P: int, budget: int = DEFAULT_BUDGET) -> HypothesisSpace:
@@ -197,7 +198,8 @@ def _occupancies(rows: int, P: int) -> tuple[np.ndarray, np.ndarray]:
 class OracleScan:
     """Integer pair counts for every occupancy class.
 
-    Class c pairs the A-occupancy c // C_b with the B-occupancy c % C_b.
+    Class c pairs occupancy c // C_b of the (1, 0) rows with occupancy
+    c % C_b of the C_b occupancies of the (0, 1) rows.
     For label k, count_k[c] is twice the number of correctly ranked
     (positive, negative) pairs plus the number of tied pairs, so the
     per-label AUC is count_k / (2 * denom_k). zeros[c] counts disagreeing
