@@ -29,6 +29,13 @@ the median and quartiles of its repeats. Cases:
   as ``rankagg train`` runs it without ``--trace-out``: no per-epoch loss
   or training AUCs. A source tree whose ``train`` has no ``per_epoch``
   leaves this case out;
+- ``aggregate_distribution_k<K>``: ``core.aggregate_distribution`` with
+  ``Sum()`` over n=100 instances, eta uniform on [0.2, 0.8], K in
+  {2, 16, 64, 256}; seconds per call, over 256 / K calls per repeat;
+- ``evaluate_bound_n5_k256``: ``bound.evaluate_bound`` with unit weights
+  over n=5 instances and K=256 labels, eta drawn as above; seconds per call.
+  The two cases pass an ``EtaTable`` as the label model; a source tree whose
+  ``JointLabelModel`` still has ``from_eta`` gets the wrapped model instead;
 - ``oracle_n25_seeds0to4``, ``oracle_n60_seed3``, ``oracle_n100_seed1``:
   ``oracle.maximizer_sets`` plus ``oracle.auc_scatter`` at the ``rankagg
   oracle`` defaults (P=3, weights up to 5) on ``gen_gaussian_bilevel``
@@ -81,6 +88,9 @@ TRAIN_EPOCHS = 60
 ORACLE_CASES = {"oracle_n25_seeds0to4": (25, (0, 1, 2, 3, 4)), "oracle_n60_seed3": (60, (3,)),
                 "oracle_n100_seed1": (100, (1,))}
 ORACLE_REPEATS = 3
+AGGREGATE_N = 100
+AGGREGATE_KS = (2, 16, 64, 256)
+BOUND_N, BOUND_K = 5, 256
 
 
 def _git(src: Path, *args: str) -> str | None:
@@ -143,6 +153,7 @@ def measure() -> tuple[dict, dict]:
     # hundred kB no longer pay the mmap and page faults a fresh `rankagg
     # train` process pays.
     cases = _surrogate_cases()
+    cases.update(_label_model_cases())
     rng = np.random.default_rng(0)
     for n in (1_000, 100_000, 1_000_000):
         scores = rng.standard_normal(n)
@@ -204,6 +215,24 @@ def _oracle_cases() -> dict:
             cases[name] = _timings(scan_all, number=1, repeats=ORACLE_REPEATS)
         except BudgetExceeded as exc:
             cases[name] = {"budget_exceeded": {"size": exc.total, "budget": exc.budget}}
+    return cases
+
+
+def _label_model_cases() -> dict:
+    from rankagg import EtaTable, JointLabelModel, Sum, aggregate_distribution, evaluate_bound
+
+    wrap = getattr(JointLabelModel, "from_eta", lambda eta: eta)
+    rng = np.random.default_rng(0)
+    cases = {}
+    for K in AGGREGATE_KS:
+        model = wrap(EtaTable(rng.uniform(0.2, 0.8, (AGGREGATE_N, K))))
+        cases[f"aggregate_distribution_k{K}"] = _timings(
+            lambda: aggregate_distribution(model, Sum()), number=256 // K, repeats=REPEATS
+        )
+    eta = EtaTable(rng.uniform(0.2, 0.8, (BOUND_N, BOUND_K)))
+    cases[f"evaluate_bound_n{BOUND_N}_k{BOUND_K}"] = _timings(
+        lambda: evaluate_bound(eta, np.ones(BOUND_K)), number=1, repeats=REPEATS
+    )
     return cases
 
 

@@ -16,10 +16,12 @@ from .core import (
     EtaTable,
     JointLabelModel,
     PriorVector,
+    Product,
     SampledLabels,
     TableScorer,
     _frozen,
     _positive_weights,
+    aggregate_distribution,
 )
 from .errors import InvalidCosts
 
@@ -162,9 +164,9 @@ def multipartite_bayes_scorer(class_probs: np.ndarray, costs: CostMatrix) -> Tab
     return TableScorer(vals)
 
 
-def product_agg_bayes_scorer(model: JointLabelModel) -> TableScorer:
-    """Optimal scorer for the product-aggregated (AND) label."""
-    return TableScorer(model.all_ones_prob())
+def product_agg_bayes_scorer(model: EtaTable | JointLabelModel) -> TableScorer:
+    """Optimal scorer for the product-aggregated (AND) label: P(every label is 1)."""
+    return TableScorer(aggregate_distribution(model, Product()).probs[:, 1])
 
 
 @dataclass(frozen=True)

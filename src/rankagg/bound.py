@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     CostMatrix,
     EtaTable,
-    JointLabelModel,
     LabelAgg,
     TableScorer,
     WeightedSum,
@@ -62,10 +61,9 @@ def gap_bound(eta: EtaTable, weights) -> BoundReport:
     return BoundReport(K=eta.K, argument=argument, bound_value=psi(argument))
 
 
-def _aggregate_objective(eta: EtaTable, weights) -> tuple[JointLabelModel, LabelAgg]:
-    model = JointLabelModel.from_eta(eta)
+def _aggregate_objective(weights) -> LabelAgg:
     agg = WeightedSum(weights)
-    return model, LabelAgg(agg, CostMatrix.uniform(agg.values().shape[0]))
+    return LabelAgg(agg, CostMatrix.uniform(agg.values().shape[0]))
 
 
 def measure_gap(eta: EtaTable, weights) -> float:
@@ -76,9 +74,8 @@ def measure_gap(eta: EtaTable, weights) -> float:
     weak-order search, so n <= oracle.MAX_EXHAUSTIVE_N (12) applies.
     """
     _moment_sums(eta, weights)  # same premise check as the bound
-    model, objective = _aggregate_objective(eta, weights)
     scorer = TableScorer(eta.eta @ np.asarray(weights, dtype=float))
-    result = certify_bayes(scorer, model, objective)
+    result = certify_bayes(scorer, eta, _aggregate_objective(weights))
     return float(result.gap)
 
 

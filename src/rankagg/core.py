@@ -1,5 +1,11 @@
 """Domain types shared by every other module.
 
+A label law is an EtaTable when the labels are conditionally independent
+given the instance (n x K marginals) and a JointLabelModel otherwise (an
+explicit n x 2^K table); every function that takes a label model accepts
+either. The library never builds the 2^K joint law of an EtaTable: only
+label combos and aggregate levels are built, and only up to a cell cap.
+
 All types are immutable after construction (arrays are stored with the
 writeable flag cleared) and safe to share across threads. A constructor
 adopts an owned, read-only, C-ordered array of the right dtype as is and
@@ -40,8 +46,8 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
-# Largest table built on request (n x 2^K joint laws, 2^K x K combos, n x
-# levels aggregate laws): 2^24 cells, 128 MiB of float64.
+# Largest table built on request (2^K x K combos, n x levels aggregate laws):
+# 2^24 cells, 128 MiB of float64.
 _MAX_TABLE_CELLS = 1 << 24
 
 
@@ -162,88 +168,46 @@ class EtaTable:
         return self.eta.shape[1]
 
 
+@dataclass(frozen=True)
 class JointLabelModel:
-    """Per-instance joint law over the K binary labels.
+    """Explicit per-instance joint law over K binary labels: an n x 2^K table.
 
-    Either conditionally independent (given by an EtaTable) or explicit
-    (an n x 2^K probability table; column index encodes the label combo in
-    binary with label 0 as the most significant bit).
+    The column index encodes the label combo in binary with label 0 as the
+    most significant bit; K is read from the table width. A conditionally
+    independent law is an EtaTable.
     """
 
-    def __init__(self, *, eta: EtaTable | None = None, table: np.ndarray | None = None, K: int | None = None):
-        if (eta is None) == (table is None):
-            raise ValueError("provide exactly one of eta or table")
-        if eta is not None:
-            self._eta = eta
-            self._table = None
-            self._K = eta.K
-            self._n = eta.n
-        else:
-            if K is None:
-                raise ValueError("explicit tables need K")
-            tab = _frozen_array(table, ndim=2, nan_name="joint label probabilities")
-            if tab.shape[1] != 2**K:
-                raise ValueError("explicit table must have 2^K columns")
-            if np.any(tab < 0):
-                raise ValueError("probabilities must be non-negative")
-            if np.any(np.abs(tab.sum(axis=1) - 1.0) > _PROB_TOL):
-                raise ValueError("explicit table rows must sum to 1")
-            self._eta = None
-            self._table = tab
-            self._K = K
-            self._n = tab.shape[0]
+    table: np.ndarray
 
-    @classmethod
-    def from_eta(cls, eta: EtaTable) -> "JointLabelModel":
-        return cls(eta=eta)
-
-    @classmethod
-    def explicit(cls, table, K: int) -> "JointLabelModel":
-        return cls(table=table, K=K)
+    def __post_init__(self):
+        tab = _frozen_array(self.table, ndim=2, nan_name="joint label probabilities")
+        width = tab.shape[1]
+        if width < 2 or width & (width - 1):
+            raise ValueError(f"explicit table must have 2^K columns with K >= 1, got {width}")
+        if np.any(tab < 0):
+            raise ValueError("probabilities must be non-negative")
+        if np.any(np.abs(tab.sum(axis=1) - 1.0) > _PROB_TOL):
+            raise ValueError("explicit table rows must sum to 1")
+        object.__setattr__(self, "table", tab)
 
     @property
     def n(self) -> int:
-        return self._n
+        return self.table.shape[0]
 
     @property
     def K(self) -> int:
-        return self._K
-
-    @property
-    def independent(self) -> bool:
-        return self._eta is not None
+        return self.table.shape[1].bit_length() - 1
 
     def combos(self) -> np.ndarray:
-        """2^K x K matrix of label combos in explicit-column order."""
-        K = self._K
+        """2^K x K matrix of label combos in column order."""
+        K = self.K
         _require_cells(2**K * K, f"the {K}-label combo matrix")
         idx = np.arange(2**K)
         return (idx[:, None] >> (K - 1 - np.arange(K))) & 1
 
-    def explicit_table(self) -> np.ndarray:
-        if self._table is not None:
-            return self._table
-        _require_cells(self._n * 2**self._K, f"the {self._K}-label joint table")
-        eta = self._eta.eta
-        combos = self.combos()
-        # product over labels of eta or 1-eta per combo column
-        tab = np.ones((self._n, 2**self._K))
-        for k in range(self._K):
-            col = eta[:, k][:, None]
-            tab *= np.where(combos[:, k][None, :] == 1, col, 1.0 - col)
-        return tab
-
     def marginal_eta(self) -> EtaTable:
-        if self._eta is not None:
-            return self._eta
-        combos = self.combos()
-        return EtaTable(self._table @ combos.astype(float))
-
-    def all_ones_prob(self) -> np.ndarray:
-        """P(every label is 1) per instance."""
-        if self._eta is not None:
-            return self._eta.eta.prod(axis=1)
-        return self._table[:, -1].copy()
+        # rows may sum to 1 + _PROB_TOL, so a marginal may round past 1
+        return EtaTable(np.minimum(self.table @ self.combos().astype(float), 1.0))
 
 
 @dataclass(frozen=True)
@@ -494,32 +458,34 @@ def aggregate_labels(labels: SampledLabels, aggregator: Aggregator) -> np.ndarra
     raise TypeError(f"unknown aggregator {aggregator!r}")
 
 
-def aggregate_distribution(model: JointLabelModel, aggregator: Aggregator = Sum()) -> AggregateDistribution:
+def aggregate_distribution(model: EtaTable | JointLabelModel, aggregator: Aggregator = Sum()) -> AggregateDistribution:
     """Per-instance distribution of the aggregated label.
 
-    Sum is the weighted sum with unit weights. Under conditional
-    independence a weighted sum is convolved one label at a time over its
-    value alphabet, costing K x levels per instance; explicit tables sum
-    their 2^K columns.
+    Sum is the weighted sum with unit weights. An EtaTable (conditionally
+    independent labels) convolves a weighted sum one label at a time over
+    its value alphabet, costing K x levels per instance; an explicit
+    JointLabelModel sums its 2^K columns.
     """
+    if not isinstance(model, (EtaTable, JointLabelModel)):
+        raise TypeError(f"unsupported label model {model!r}")
     if isinstance(aggregator, Product):
-        ones = model.all_ones_prob()
+        ones = model.eta.prod(axis=1) if isinstance(model, EtaTable) else model.table[:, -1]
         return AggregateDistribution(np.array([0.0, 1.0]), np.column_stack([1.0 - ones, ones]))
     if isinstance(aggregator, Sum):
         aggregator = WeightedSum((1.0,) * model.K)
-    if isinstance(aggregator, WeightedSum):
-        if len(aggregator.alphas) != model.K:
-            raise ValueError("weight count must match K")
-        if not model.independent:
-            raw = model.combos() @ np.asarray(aggregator.alphas)
-            values, inverse = np.unique(np.round(raw, 12), return_inverse=True)
-            probs = np.zeros((model.n, values.shape[0]))
-            np.add.at(probs.T, inverse, model.explicit_table().T)
-            return AggregateDistribution(values, probs)
-        eta, probs = model.marginal_eta().eta, np.ones((model.n, 1))
-        for (values, inverse), p in zip(_lattice_steps(aggregator.alphas, model.n), eta.T):
-            candidates = np.concatenate([probs * (1.0 - p[:, None]), probs * p[:, None]], axis=1)
-            probs = np.zeros((model.n, values.shape[0]))
-            np.add.at(probs.T, inverse, candidates.T)
+    if not isinstance(aggregator, WeightedSum):
+        raise TypeError(f"unknown aggregator {aggregator!r}")
+    if len(aggregator.alphas) != model.K:
+        raise ValueError("weight count must match K")
+    if isinstance(model, JointLabelModel):
+        raw = model.combos() @ np.asarray(aggregator.alphas)
+        values, inverse = np.unique(np.round(raw, 12), return_inverse=True)
+        probs = np.zeros((model.n, values.shape[0]))
+        np.add.at(probs.T, inverse, model.table.T)
         return AggregateDistribution(values, probs)
-    raise TypeError(f"unknown aggregator {aggregator!r}")
+    probs = np.ones((model.n, 1))
+    for (values, inverse), p in zip(_lattice_steps(aggregator.alphas, model.n), model.eta.T):
+        candidates = np.concatenate([probs * (1.0 - p[:, None]), probs * p[:, None]], axis=1)
+        probs = np.zeros((model.n, values.shape[0]))
+        np.add.at(probs.T, inverse, candidates.T)
+    return AggregateDistribution(values, probs)

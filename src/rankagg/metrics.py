@@ -64,22 +64,24 @@ def h_matrix(scores: np.ndarray) -> np.ndarray:
     return (s[:, None] > s[None, :]) + 0.5 * (s[:, None] == s[None, :])
 
 
-def _scores_array(scores) -> np.ndarray:
-    if isinstance(scores, Scorer):
-        return np.asarray(scores.scores(), dtype=float)
-    return np.asarray(scores, dtype=float)
-
-
-def _ranked(scores, n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The sort order of n scores and the start of each run of exactly tied
-    sorted scores, or None when no two scores tie."""
-    s = _scores_array(scores)
+def _checked_scores(scores, n: int) -> np.ndarray:
+    """A Scorer's or array's scores as a float vector; ValueError unless n long and NaN-free."""
+    s = np.asarray(scores.scores() if isinstance(scores, Scorer) else scores, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"scores must be a vector, got shape {s.shape}")
     if s.shape[0] != n:
         raise ValueError(f"{s.shape[0]} scores for {n} instances")
     if n == 0:
         raise DegenerateLabel("no instances to rank")
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
+    return s
+
+
+def _ranked(scores, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The sort order of n scores and the start of each run of exactly tied
+    sorted scores, or None when no two scores tie."""
+    s = _checked_scores(scores, n)
     order = np.argsort(s)
     ranked = s[order]
     new_value = ranked[1:] != ranked[:-1]
@@ -222,9 +224,7 @@ def label_agg_auc(scores, model, aggregator: Aggregator, costs: CostMatrix) -> f
     """Multipartite AUC of the aggregated label."""
     if isinstance(model, SampledLabels):
         return multipartite_auc(scores, aggregate_labels(model, aggregator), costs)
-    if isinstance(model, EtaTable):
-        model = JointLabelModel.from_eta(model)
-    if isinstance(model, JointLabelModel):
+    if isinstance(model, (EtaTable, JointLabelModel)):
         return multipartite_auc_population(scores, aggregate_distribution(model, aggregator), costs)
     raise TypeError(f"unsupported label model {model!r}")
 
@@ -281,9 +281,7 @@ def population_pair_weights(model, objective) -> tuple[np.ndarray, float]:
     levels. This single quadratic form is what the exhaustive weak-order
     maximizer optimizes.
     """
-    if isinstance(model, EtaTable):
-        model = JointLabelModel.from_eta(model)
-    if not isinstance(model, JointLabelModel):
+    if not isinstance(model, (EtaTable, JointLabelModel)):
         raise TypeError("population weights need a probability model")
     if isinstance(objective, (PerLabel, LossAgg)):
         if isinstance(objective, PerLabel):
@@ -292,7 +290,7 @@ def population_pair_weights(model, objective) -> tuple[np.ndarray, float]:
             labels, a = list(range(model.K)), np.asarray(objective.weights)
             if a.shape[0] != model.K:
                 raise ValueError("weight count must match K")
-        eta = model.marginal_eta().eta[:, labels]
+        eta = (model.marginal_eta() if isinstance(model, JointLabelModel) else model).eta[:, labels]
         pi = eta.mean(axis=0)
         bad = np.flatnonzero((pi <= 0.0) | (pi >= 1.0))
         if bad.size:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampledLabels, Scorer, TableScorer
+from .core import SampledLabels, TableScorer
 from .errors import BudgetExceeded, DegenerateLabel, TooLarge
-from .metrics import h_matrix, population_pair_weights
+from .metrics import _checked_scores, h_matrix, population_pair_weights
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -111,8 +111,7 @@ def certify_bayes(scorer, model, objective, tol: float = 1e-12) -> CertifyResult
     """Compare a scorer against the exhaustive weak-order maximizer."""
     w, z = population_pair_weights(model, objective)
     best_scorer, best_value = optimal_weak_order(w, z)
-    s = scorer.scores() if isinstance(scorer, Scorer) else np.asarray(scorer, dtype=float)
-    scorer_value = float((w * h_matrix(s)).sum() / z)
+    scorer_value = float((w * h_matrix(_checked_scores(scorer, w.shape[0]))).sum() / z)
     gap = best_value - scorer_value
     return CertifyResult(
         optimal=gap <= tol,

@@ -53,7 +53,6 @@ from rankagg import (
 )
 from rankagg.bayes import alpha_vector, product_agg_bayes_scorer
 from rankagg.cli import main
-from rankagg.core import JointLabelModel
 from rankagg.surrogate import _rebuild, init_scorer, scorer_parameters
 
 
@@ -359,7 +358,7 @@ def test_criterion_5_dictatorship_orders_match_the_partial_order_figures():
                 bad.append(("labelagg-sum", combos, alphas))
                 continue
             # product aggregation: only the all-ones combo stands apart
-            prod_scores = product_agg_bayes_scorer(JointLabelModel.from_eta(eta)).scores()
+            prod_scores = product_agg_bayes_scorer(eta).scores()
             prods = table.prod(axis=1)
             if not np.array_equal(np.sign(np.subtract.outer(prod_scores, prod_scores)),
                                   np.sign(np.subtract.outer(prods, prods))):

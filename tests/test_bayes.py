@@ -12,7 +12,6 @@ from rankagg import (
     DegenerateLabel,
     EtaTable,
     InvalidCosts,
-    JointLabelModel,
     PriorVector,
     Sum,
     aggregate_distribution,
@@ -66,7 +65,7 @@ def test_matched_weights_make_loss_agg_order_equal_sum_scorer_order():
 def test_aggregate_mean_equals_sum_scorer():
     rng = np.random.default_rng(2)
     eta = EtaTable(rng.uniform(0.0, 1.0, (7, 4)))
-    dist = aggregate_distribution(JointLabelModel.from_eta(eta), Sum())
+    dist = aggregate_distribution(eta, Sum())
     np.testing.assert_allclose(
         dist.mean(), label_agg_bayes_scorer_sum(eta).scores(), atol=1e-9
     )
@@ -86,7 +85,7 @@ def test_uniform_cost_k2_matches_multipartite_closed_form():
     rng = np.random.default_rng(3)
     eta = EtaTable(rng.uniform(0.05, 0.95, (9, 2)))
     direct = label_agg_uniform_cost_scorer_k2(eta).scores()
-    dist = aggregate_distribution(JointLabelModel.from_eta(eta), Sum())
+    dist = aggregate_distribution(eta, Sum())
     generic = multipartite_bayes_scorer(dist.probs, CostMatrix.uniform(3)).scores()
     np.testing.assert_allclose(direct, generic, atol=1e-12)
 
@@ -206,7 +205,7 @@ def test_multipartite_scorer_checks_the_scale_condition_on_the_alphabet_block_on
 
 def test_product_scorer_is_all_ones_probability():
     eta = EtaTable(np.array([[0.5, 0.8], [1.0, 1.0]]))
-    vals = product_agg_bayes_scorer(JointLabelModel.from_eta(eta)).scores()
+    vals = product_agg_bayes_scorer(eta).scores()
     assert vals == pytest.approx([0.4, 1.0])
 
 

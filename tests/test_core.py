@@ -25,12 +25,17 @@ from rankagg import (
     aggregate_distribution,
     aggregate_labels,
     alpha_vector,
+    auc_report,
+    certify_bayes,
     gap_bound,
     label_agg_auc,
     label_agg_bayes_scorer_weighted,
     loss_agg_auc,
+    optimal_weak_order_for,
+    product_agg_bayes_scorer,
     surrogate_objective,
 )
+from rankagg.metrics import h_matrix, population_pair_weights
 
 eta_tables = arrays(
     np.float64,
@@ -54,37 +59,118 @@ def test_sampled_labels_reject_nonbinary():
             SampledLabels(np.array(bad))
 
 
+def _product_table(eta: EtaTable) -> np.ndarray:
+    """Reference n x 2^K joint law of conditionally independent labels.
+
+    Column c holds the product over labels of eta or 1 - eta, as label k is
+    bit K - 1 - k of c.
+    """
+    K = eta.K
+    combos = (np.arange(2**K)[:, None] >> (K - 1 - np.arange(K))) & 1
+    tab = np.ones((eta.n, 2**K))
+    for k in range(K):
+        col = eta.eta[:, k][:, None]
+        tab *= np.where(combos[:, k][None, :] == 1, col, 1.0 - col)
+    return tab
+
+
 def test_combos_use_label0_as_most_significant_bit():
-    model = JointLabelModel.from_eta(EtaTable(np.full((1, 2), 0.5)))
+    model = JointLabelModel(np.full((1, 4), 0.25))
     assert model.combos().tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_explicit_table_matches_independent_products():
     eta = EtaTable(np.array([[0.3, 0.9], [0.5, 0.1]]))
-    tab = JointLabelModel.from_eta(eta).explicit_table()
+    tab = _product_table(eta)
     assert tab[0] == pytest.approx([0.7 * 0.1, 0.7 * 0.9, 0.3 * 0.1, 0.3 * 0.9])
     np.testing.assert_allclose(tab.sum(axis=1), 1.0)
 
 
 def test_marginal_eta_roundtrip():
     eta = EtaTable(np.array([[0.3, 0.9], [0.5, 0.1], [0.0, 1.0]]))
-    model = JointLabelModel.explicit(
-        JointLabelModel.from_eta(eta).explicit_table(), K=2
-    )
+    model = JointLabelModel(_product_table(eta))
     np.testing.assert_allclose(model.marginal_eta().eta, eta.eta, atol=1e-12)
 
 
 def test_explicit_table_validation():
     with pytest.raises(ValueError):
-        JointLabelModel.explicit(np.array([[0.5, 0.6]]), K=1)
+        JointLabelModel(np.array([[0.5, 0.6]]))
     with pytest.raises(ValueError):
-        JointLabelModel.explicit(np.array([[0.5, 0.5, 0.0]]), K=2)
+        JointLabelModel(np.array([[0.5, 0.5, 0.0]]))
+    with pytest.raises(ValueError, match="2\\^K columns"):
+        JointLabelModel(np.array([[1.0]]))
+    assert JointLabelModel(np.full((3, 8), 0.125)).K == 3
+
+
+def test_explicit_marginals_rounding_past_one_are_clipped():
+    # rows may sum to within 1e-9 of 1, so a marginal can round above 1;
+    # EtaTable's [0, 1] check used to reject the model the constructor accepted
+    model = JointLabelModel(np.array([[0, 0, 0, 1 + 5e-10], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
+    scores = np.array([3.0, 0.0, 1.0, 2.0])
+    assert model.marginal_eta().eta[0].tolist() == [1.0, 1.0]
+    assert auc_report(scores, model).per_label.tolist() == [1.0, 0.75]
+    assert loss_agg_auc(scores, model, (1.0, 1.0)) == 1.75
+    w, z = population_pair_weights(model, LossAgg((1.0, 1.0)))
+    assert (w * h_matrix(scores)).sum() / z == pytest.approx(1.75, abs=1e-12)
+
+
+_CONTRACT_ETA = EtaTable(np.random.default_rng(19).uniform(0.1, 0.9, (6, 3)))
+_CONTRACT_SCORES = np.random.default_rng(20).standard_normal(6)
+_CONTRACT_LOSS = LossAgg((1.0, 2.0, 0.5))
+_CONTRACT_LABEL = LabelAgg(Sum(), CostMatrix.absdiff(4))
+
+
+def _flat(*parts) -> np.ndarray:
+    return np.concatenate([np.ravel(np.asarray(part, dtype=float)) for part in parts])
+
+
+def _distribution(aggregator):
+    def run(model):
+        dist = aggregate_distribution(model, aggregator)
+        return _flat(dist.values, dist.probs)
+
+    return run
+
+
+def _weak_order(model):
+    scorer, value = optimal_weak_order_for(model, _CONTRACT_LABEL)
+    return _flat(scorer.values, value)
+
+
+def _certify(model):
+    result = certify_bayes(_CONTRACT_SCORES, model, _CONTRACT_LABEL)
+    return _flat(result.gap, result.best_value, result.scorer_value, result.best_scorer.values)
+
+
+_ENTRY_POINTS = {
+    "aggregate_distribution_sum": _distribution(Sum()),
+    "aggregate_distribution_weighted_sum": _distribution(WeightedSum((1.0, 2.0, 0.5))),
+    "aggregate_distribution_product": _distribution(Product()),
+    "auc_report": lambda m: _flat(auc_report(_CONTRACT_SCORES, m).per_label),
+    "loss_agg_auc": lambda m: _flat(loss_agg_auc(_CONTRACT_SCORES, m, _CONTRACT_LOSS.weights)),
+    "label_agg_auc": lambda m: _flat(label_agg_auc(_CONTRACT_SCORES, m, Sum(), CostMatrix.absdiff(4))),
+    "population_pair_weights": lambda m: _flat(
+        *population_pair_weights(m, _CONTRACT_LOSS), *population_pair_weights(m, _CONTRACT_LABEL)
+    ),
+    "certify_bayes": _certify,
+    "optimal_weak_order_for": _weak_order,
+    "product_agg_bayes_scorer": lambda m: _flat(product_agg_bayes_scorer(m).scores()),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_eta_table_and_its_product_table_give_the_same_results(entry):
+    # the conditionally independent law, as marginals and as its explicit 2^K table
+    run = _ENTRY_POINTS[entry]
+    independent = run(_CONTRACT_ETA)
+    explicit = run(JointLabelModel(_product_table(_CONTRACT_ETA)))
+    np.testing.assert_allclose(independent, explicit, rtol=0.0, atol=1e-12)
 
 
 @settings(deadline=None)
 @given(eta_tables)
 def test_aggregate_distribution_rows_are_probability_vectors(eta):
-    dist = aggregate_distribution(JointLabelModel.from_eta(eta), Sum())
+    dist = aggregate_distribution(eta, Sum())
     assert np.all(dist.probs >= -1e-12)
     np.testing.assert_allclose(dist.probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -92,20 +178,20 @@ def test_aggregate_distribution_rows_are_probability_vectors(eta):
 @settings(deadline=None)
 @given(eta_tables)
 def test_aggregate_mean_equals_probability_sum(eta):
-    dist = aggregate_distribution(JointLabelModel.from_eta(eta), Sum())
+    dist = aggregate_distribution(eta, Sum())
     np.testing.assert_allclose(dist.mean(), eta.eta.sum(axis=1), atol=1e-9)
 
 
 def test_deterministic_eta_concentrates_the_aggregate():
     eta = EtaTable(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
-    dist = aggregate_distribution(JointLabelModel.from_eta(eta), Sum())
+    dist = aggregate_distribution(eta, Sum())
     assert dist.probs[0].tolist() == [0.0, 0.0, 1.0, 0.0]
     assert dist.probs[1].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_product_distribution_is_all_ones_probability():
     eta = EtaTable(np.array([[0.5, 0.4]]))
-    dist = aggregate_distribution(JointLabelModel.from_eta(eta), Product())
+    dist = aggregate_distribution(eta, Product())
     assert dist.values.tolist() == [0.0, 1.0]
     assert dist.probs[0, 1] == pytest.approx(0.2)
 
@@ -141,7 +227,7 @@ def test_sum_and_product_labels():
 
 def test_weighted_sum_distribution_covers_achievable_values():
     eta = EtaTable(np.array([[0.5, 0.5]]))
-    dist = aggregate_distribution(JointLabelModel.from_eta(eta), WeightedSum((2.0, 1.0)))
+    dist = aggregate_distribution(eta, WeightedSum((2.0, 1.0)))
     assert dist.values.tolist() == [0.0, 1.0, 2.0, 3.0]
     np.testing.assert_allclose(dist.probs[0], 0.25)
 
@@ -199,8 +285,8 @@ def test_lattice_convolution_matches_the_2k_table(K, kind, seed):
         "real": rng.uniform(0.1, 3.0, K),
     }[kind]
     values, probs = _add_at_distribution(eta, alphas)
-    independent = JointLabelModel.from_eta(EtaTable(eta))
-    models = [independent, JointLabelModel.explicit(independent.explicit_table(), K)]
+    independent = EtaTable(eta)
+    models = [independent, JointLabelModel(_product_table(independent))]
     aggregators = [WeightedSum(tuple(alphas))] + ([Sum()] if kind == "unit" else [])
     for model in models:
         for agg in aggregators:
@@ -210,19 +296,15 @@ def test_lattice_convolution_matches_the_2k_table(K, kind, seed):
 
 
 def test_2k_tables_over_the_cell_cap_raise_too_large():
-    model = JointLabelModel.from_eta(EtaTable(np.full((3, 40), 0.5)))
+    model = EtaTable(np.full((3, 40), 0.5))
     start = time.perf_counter()
-    with pytest.raises(TooLarge):
-        model.combos()
-    with pytest.raises(TooLarge):
-        model.explicit_table()
     with pytest.raises(TooLarge):  # weights off an integer lattice
         aggregate_distribution(model, WeightedSum(tuple(1.0 + np.arange(40) / 41.0)))
     # 65,536 distinct sums fit alone but not for 300 instances
     binary = WeightedSum(tuple(2.0 ** np.arange(16)))
     assert binary.values().size == 2**16
     with pytest.raises(TooLarge):
-        aggregate_distribution(JointLabelModel.from_eta(EtaTable(np.full((300, 16), 0.5))), binary)
+        aggregate_distribution(EtaTable(np.full((300, 16), 0.5)), binary)
     assert time.perf_counter() - start < 1.0
     # lattice weights stay polynomial at K = 40
     assert aggregate_distribution(model, Sum()).values.tolist() == list(range(41))
@@ -272,7 +354,7 @@ def test_probability_tables_priors_and_costs_reject_nan(n, K, seed, data):
     rng = np.random.default_rng(seed)
     builders = [
         (rng.uniform(0.0, 1.0, (n, K)), EtaTable),
-        (rng.dirichlet(np.ones(2**K), n), lambda t: JointLabelModel.explicit(t, K)),
+        (rng.dirichlet(np.ones(2**K), n), JointLabelModel),
         (rng.uniform(0.05, 0.95, K), PriorVector),
         (rng.uniform(0.0, 2.0, (K + 1, K + 1)), CostMatrix),
     ]

@@ -11,7 +11,6 @@ from rankagg import (
     CostMatrix,
     DegenerateLabel,
     EtaTable,
-    JointLabelModel,
     LabelAgg,
     LossAgg,
     PerLabel,
@@ -188,7 +187,7 @@ def test_population_pair_weights_match_outer_products_and_kernel_aucs(values, K,
         (LossAgg(tuple(a)), _dense_label_weights(eta, a), 1.0, loss_agg_auc(s, model, a)),
     ]
     for aggregator in (Sum(), WeightedSum(tuple(rng.choice([0.5, 1.0, 1.5, 2.25], K)))):
-        probs = aggregate_distribution(JointLabelModel.from_eta(model), aggregator).probs
+        probs = aggregate_distribution(model, aggregator).probs
         costs = CostMatrix(rng.uniform(0.1, 2.0, (probs.shape[1] + 1,) * 2))
         w = _dense_cost_weights(probs, costs)
         cases.append((LabelAgg(aggregator, costs), w, w.sum(), label_agg_auc(s, model, aggregator, costs)))

@@ -115,6 +115,18 @@ def test_certify_flags_a_bad_scorer():
     assert not result.optimal and result.gap > 0
 
 
+def test_certify_rejects_score_arrays_the_metrics_reject():
+    eta = EtaTable(np.random.default_rng(4).uniform(0.1, 0.9, (6, 2)))
+    objective = LossAgg((1.0, 1.0))
+    # a 1-element array used to broadcast through the dense pair matrix
+    with pytest.raises(ValueError, match="1 scores for 6 instances"):
+        certify_bayes(np.array([0.5]), eta, objective)
+    with pytest.raises(ValueError, match="scores must not be NaN"):
+        certify_bayes(np.array([0.1, 0.2, np.nan, 0.4, 0.5, 0.6]), eta, objective)
+    with pytest.raises(ValueError, match="scores must be a vector"):
+        certify_bayes(np.zeros((6, 1)), eta, objective)
+
+
 def test_optimal_weak_order_for_single_label_is_eta_order():
     eta = EtaTable(np.array([[0.9], [0.1], [0.5]]))
     scorer, value = optimal_weak_order_for(eta, PerLabel(0))
