@@ -10,13 +10,12 @@ the median and quartiles of its repeats. Cases:
   3 decimals, so that runs of tied scores are grouped;
 - ``solve_rho_default_sweep_n100000``: ``synthgen._solve_rho_for_pi2`` for
   the twelve (tau, pi2) points of ``skew-sweep`` at its defaults (seed 0);
-  seconds for all twelve. Older source trees keep the solver in ``cli``,
-  where it is taken from instead;
+  seconds for all twelve;
 - ``sweep_points_n100000``: the twelve points of ``skew-sweep`` at its
   defaults (seed 0), with each rho solved beforehand: ``sigmoid_sweep``
   builds each point's eta and labels (drawing the inputs and eta1 once per
   tau), then both sweep scorers and their ``auc_report``; seconds for all
-  twelve. A source tree without ``synthgen.sigmoid_sweep`` leaves it out;
+  twelve;
 - ``scale_condition_absdiff_m8``: ``bayes.scale_condition_holds`` on
   ``CostMatrix.absdiff(8)``; seconds per call;
 - ``surrogate_loss_grad_n600``: one exact logistic loss plus score gradient
@@ -27,21 +26,23 @@ the median and quartiles of its repeats. Cases:
   TRAIN_EPOCHS epochs; seconds per epoch;
 - ``train_epoch_untraced_n600``: the same training with ``per_epoch=False``,
   as ``rankagg train`` runs it without ``--trace-out``: no per-epoch loss
-  or training AUCs. A source tree whose ``train`` has no ``per_epoch``
-  leaves this case out;
+  or training AUCs;
 - ``aggregate_distribution_k<K>``: ``core.aggregate_distribution`` with
   ``Sum()`` over n=100 instances, eta uniform on [0.2, 0.8], K in
   {2, 16, 64, 256}; seconds per call, over 256 / K calls per repeat;
 - ``evaluate_bound_n5_k256``: ``bound.evaluate_bound`` with unit weights
   over n=5 instances and K=256 labels, eta drawn as above; seconds per call.
-  The two cases pass an ``EtaTable`` as the label model; a source tree whose
-  ``JointLabelModel`` still has ``from_eta`` gets the wrapped model instead;
+  The two cases pass an ``EtaTable`` as the label model;
 - ``oracle_n25_seeds0to4``, ``oracle_n60_seed3``, ``oracle_n100_seed1``:
   ``oracle.maximizer_sets`` plus ``oracle.auc_scatter`` at the ``rankagg
   oracle`` defaults (P=3, weights up to 5) on ``gen_gaussian_bilevel``
   labels; seconds for all of a case's seeds, over ORACLE_REPEATS repeats.
   A case whose grid exceeds the source tree's default budget records the
-  ``BudgetExceeded`` size and budget instead of a time.
+  ``BudgetExceeded`` size and budget instead of a time;
+- ``oracle_cli_n500_seed1``: ``cli.main(["oracle", "--n", "500", "--seed",
+  "1", "--out", <temporary CSV>, "--no-plot"])`` in this process, its
+  PASS/FAIL lines discarded: the grid scan plus the CSV of every distinct
+  AUC pair; seconds per call, over ORACLE_REPEATS repeats.
 
 Besides the timings, ``memory`` records the tracemalloc peak of one pass over
 the same twelve points, after a warm-up pass, in bytes and in bytes per
@@ -65,13 +66,15 @@ before and after a change.
 from __future__ import annotations
 
 import argparse
-import inspect
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -142,11 +145,7 @@ def measure() -> tuple[dict, dict]:
     from rankagg import CostMatrix, SampledLabels, SigmoidSynthConfig, gen_sigmoid_pair
     from rankagg.bayes import label_agg_bayes_scorer_sum, loss_agg_bayes_scorer, scale_condition_holds
     from rankagg.metrics import auc_report
-
-    try:
-        from rankagg.synthgen import _solve_rho_for_pi2
-    except ImportError:
-        from rankagg.cli import _solve_rho_for_pi2
+    from rankagg.synthgen import _solve_rho_for_pi2, sigmoid_sweep
 
     # The surrogate cases run first: once the n=1e6 arrays below are freed,
     # glibc raises its mmap threshold, and later block temporaries of a few
@@ -174,25 +173,19 @@ def measure() -> tuple[dict, dict]:
                 _solve_rho_for_pi2(feats, tau, target)
 
     cases[f"solve_rho_default_sweep_n{SWEEP_N}"] = _timings(sweep_solves, number=1, repeats=REPEATS)
-    memory = {}
-    try:
-        from rankagg.synthgen import sigmoid_sweep
-    except ImportError:
-        sigmoid_sweep = None
-    if sigmoid_sweep is not None:
-        rhos = {tau: [_solve_rho_for_pi2(feats, tau, target) for target in SWEEP_TARGETS] for tau in SWEEP_TAUS}
+    rhos = {tau: [_solve_rho_for_pi2(feats, tau, target) for target in SWEEP_TARGETS] for tau in SWEEP_TAUS}
 
-        def sweep_points():
-            for tau in SWEEP_TAUS:
-                for point in sigmoid_sweep(SWEEP_N, 0, (tau,), rhos[tau]):
-                    for build in (label_agg_bayes_scorer_sum, loss_agg_bayes_scorer):
-                        auc_report(build(point[3]).scores(), point[4])
-                    # as skew-sweep does, free the point before the next is built
-                    del point
+    def sweep_points():
+        for tau in SWEEP_TAUS:
+            for point in sigmoid_sweep(SWEEP_N, 0, (tau,), rhos[tau]):
+                for build in (label_agg_bayes_scorer_sum, loss_agg_bayes_scorer):
+                    auc_report(build(point[3]).scores(), point[4])
+                # as skew-sweep does, free the point before the next is built
+                del point
 
-        cases[f"sweep_points_n{SWEEP_N}"] = _timings(sweep_points, number=1, repeats=REPEATS)
-        peak = _traced_peak(sweep_points)
-        memory[f"sweep_points_n{SWEEP_N}"] = {"traced_peak_bytes": peak, "bytes_per_instance": peak / SWEEP_N}
+    cases[f"sweep_points_n{SWEEP_N}"] = _timings(sweep_points, number=1, repeats=REPEATS)
+    peak = _traced_peak(sweep_points)
+    memory = {f"sweep_points_n{SWEEP_N}": {"traced_peak_bytes": peak, "bytes_per_instance": peak / SWEEP_N}}
     absdiff = CostMatrix.absdiff(8)
     cases["scale_condition_absdiff_m8"] = _timings(lambda: scale_condition_holds(absdiff), number=100, repeats=REPEATS)
     cases.update(_oracle_cases())
@@ -201,6 +194,7 @@ def measure() -> tuple[dict, dict]:
 
 def _oracle_cases() -> dict:
     from rankagg import BudgetExceeded, gen_gaussian_bilevel
+    from rankagg.cli import main
     from rankagg.oracle import auc_scatter, maximizer_sets
 
     cases = {}
@@ -215,17 +209,25 @@ def _oracle_cases() -> dict:
             cases[name] = _timings(scan_all, number=1, repeats=ORACLE_REPEATS)
         except BudgetExceeded as exc:
             cases[name] = {"budget_exceeded": {"size": exc.total, "budget": exc.budget}}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["oracle", "--n", "500", "--seed", "1", "--out", str(Path(tmp) / "oracle.csv"), "--no-plot"]
+
+        def oracle_cli():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if main(argv) != 0:
+                    raise RuntimeError(f"rankagg {' '.join(argv)} failed")
+
+        cases["oracle_cli_n500_seed1"] = _timings(oracle_cli, number=1, repeats=ORACLE_REPEATS)
     return cases
 
 
 def _label_model_cases() -> dict:
-    from rankagg import EtaTable, JointLabelModel, Sum, aggregate_distribution, evaluate_bound
+    from rankagg import EtaTable, Sum, aggregate_distribution, evaluate_bound
 
-    wrap = getattr(JointLabelModel, "from_eta", lambda eta: eta)
     rng = np.random.default_rng(0)
     cases = {}
     for K in AGGREGATE_KS:
-        model = wrap(EtaTable(rng.uniform(0.2, 0.8, (AGGREGATE_N, K))))
+        model = EtaTable(rng.uniform(0.2, 0.8, (AGGREGATE_N, K)))
         cases[f"aggregate_distribution_k{K}"] = _timings(
             lambda: aggregate_distribution(model, Sum()), number=256 // K, repeats=REPEATS
         )
@@ -251,19 +253,17 @@ def _surrogate_cases() -> dict:
     groups = _pair_groups(labels, objective)
     scores = instances.features @ np.array([1.0, 0.5])
     config = TrainConfig(objective=objective, lr=0.05, epochs=TRAIN_EPOCHS)
-    cases = {
+    return {
         f"surrogate_loss_grad_n{TRAIN_N}": _timings(
             lambda: _loss_and_score_grad(scores, groups, Logistic(), True), number=100, repeats=REPEATS
         ),
         f"train_epoch_n{TRAIN_N}": _timings(
             lambda: train(instances, labels, config), number=1, repeats=REPEATS, units=TRAIN_EPOCHS
         ),
-    }
-    if "per_epoch" in inspect.signature(train).parameters:
-        cases[f"train_epoch_untraced_n{TRAIN_N}"] = _timings(
+        f"train_epoch_untraced_n{TRAIN_N}": _timings(
             lambda: train(instances, labels, config, per_epoch=False), number=1, repeats=REPEATS, units=TRAIN_EPOCHS
-        )
-    return cases
+        ),
+    }
 
 
 def main(argv=None) -> int:

@@ -1,16 +1,18 @@
 """Command-line experiment harness.
 
 Subcommands: skew-sweep, train, oracle, bound. Exit codes: 0 success, 2 flag
-errors (among them a count below 1, a bound margin c outside [0, 0.5] and a
-learning rate that is negative or not finite), 3 data or config errors, 4
-enumeration budget errors (oracle --budget counts hypothesis classes). Every
-option but --out, --data, --trace-out, --config, --no-plot and --plot-out is
-also a key (snake_case or kebab-case) of an optional key=value --config file;
-flags override config values, which override builtin defaults. Sweep points,
-train trials and bound points run one after another. train computes its
-per-epoch losses and training AUCs only for --trace-out, which writes them as
-JSON lines. Each cmd_* returns its CSV header, rows and chart (None for train,
-which draws none); main writes the CSV and, unless --no-plot, the SVG.
+errors (among them a count below 1, an empty comma list, a bound margin c
+outside [0, 0.5] and a learning rate that is negative or not finite), 3 data
+or config errors, 4 enumeration budget errors (oracle --budget counts
+hypothesis classes). Every option but --out, --data, --trace-out, --config,
+--no-plot and --plot-out is also a key (snake_case or kebab-case) of an
+optional key=value --config file; flags override config values, which
+override builtin defaults. Sweep points, train trials and bound points run one
+after another. train computes its per-epoch losses and training AUCs only for
+--trace-out, which writes them as JSON lines. Each cmd_* returns its CSV
+header, rows and chart (None for train, which draws none); main writes the CSV
+and, unless --no-plot, the SVG. Rows are iterables of str, int and float
+cells, which csv writes as they are.
 """
 
 from __future__ import annotations
@@ -52,8 +54,11 @@ class _UsageError(Exception):
     """A flag combination or value the run cannot use; main prints it as is and exits 2."""
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _float_list(text: str, parse=float) -> list:
+    values = [parse(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise ValueError(f"expected a nonempty comma list, got {text!r}")
+    return values
 
 
 def _count(text: str) -> int:
@@ -64,7 +69,7 @@ def _count(text: str) -> int:
 
 
 def _count_list(text: str) -> list[int]:
-    return [_count(tok) for tok in text.split(",") if tok.strip() != ""]
+    return _float_list(text, _count)
 
 
 def _learning_rate(text: str) -> float:
@@ -260,10 +265,7 @@ def _parse_model(text: str) -> tuple:
     if text == "linear":
         return ()
     if text.startswith("mlp:"):
-        widths = tuple(_count_list(text.split(":", 1)[1]))
-        if not widths:
-            raise ValueError(f"model {text!r} lists no hidden widths")
-        return widths
+        return tuple(_count_list(text.split(":", 1)[1]))
     raise ValueError(f"unknown model {text!r}")
 
 
@@ -288,7 +290,7 @@ def cmd_train(args):
         if not 0 <= resample[0] < labels.K:
             raise ValueError(f"--resample-pi label index {resample[0]} is not in 0..{labels.K - 1}")
 
-    rows, traces = [], []
+    rows, traces, reports = [], [], []
     for trial in range(args.trials):
         start = time.perf_counter()
         trial_seed = args.seed + trial
@@ -309,13 +311,14 @@ def cmd_train(args):
         )
         traces.append(trace)
         report = trace[-1]["eval"]
+        reports.append(report)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             [
                 "train",
                 trial,
                 args.objective,
-                *[float(v) for v in report.per_label],
+                *report.per_label.tolist(),
                 report.diff if report.diff is not None else "",
                 report.min,
                 trace[-1]["loss"],
@@ -323,9 +326,9 @@ def cmd_train(args):
                 trial_seed,
             ]
         )
-    aucs = np.array([row[3 : 3 + labels.K] for row in rows], dtype=float)
-    diffs = np.array([row[3 + labels.K] for row in rows], dtype=float) if labels.K == 2 else None
-    mins = np.array([row[4 + labels.K] for row in rows], dtype=float)
+    aucs = np.array([r.per_label for r in reports])
+    diffs = np.array([r.diff for r in reports]) if labels.K == 2 else None
+    mins = np.array([r.min for r in reports])
 
     def stderr(v: np.ndarray) -> float:
         return float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else 0.0
@@ -406,6 +409,9 @@ def cmd_oracle(args):
          proper_subset(sets.label_agg_sum, sets.label_product)),
     ]
     auc_1, auc_2, counts, on_front = auc_scatter(sets.scan)
+    # Python scalars for csv; the object array's counts stay exact past int64
+    auc_1, auc_2, counts = auc_1.tolist(), auc_2.tolist(), counts.tolist()
+    on_front = on_front.astype(np.int64).tolist()
 
     def auc_pair_of(indices) -> tuple[float, float]:
         h = int(indices[0])
@@ -430,12 +436,9 @@ def cmd_oracle(args):
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     header = ["auc_label1", "auc_label2", "hypotheses", "on_front"]
-    rows = [
-        [float(a1), float(a2), int(c), int(f)]
-        for a1, a2, c, f in zip(auc_1, auc_2, counts, on_front)
-    ]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    points = [(r[0], r[1], bool(r[3])) for r in rows]
+    # auc_scatter's rows already increase in (auc_1, auc_2)
+    rows = zip(auc_1, auc_2, counts, on_front)
+    points = zip(auc_1, auc_2, on_front)
     text = {"title": "Per-label AUCs over the exhaustive hypothesis grid", "xlabel": "AUC label 1",
             "ylabel": "AUC label 2"}
     return header, rows, (svgplot.scatter_chart, points, text)

@@ -3,8 +3,8 @@
 A label law is an EtaTable when the labels are conditionally independent
 given the instance (n x K marginals) and a JointLabelModel otherwise (an
 explicit n x 2^K table); every function that takes a label model accepts
-either. The library never builds the 2^K joint law of an EtaTable: only
-label combos and aggregate levels are built, and only up to a cell cap.
+either. The library builds no 2^K joint law of an EtaTable and no combo
+matrix: only aggregate levels, and only up to a cell cap.
 
 All types are immutable after construction (arrays are stored with the
 writeable flag cleared) and safe to share across threads. A constructor
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-9
-# Largest table built on request (2^K x K combos, n x levels aggregate laws):
+# Largest aggregate law built on request (n x levels):
 # 2^24 cells, 128 MiB of float64.
 _MAX_TABLE_CELLS = 1 << 24
 
@@ -198,16 +198,11 @@ class JointLabelModel:
     def K(self) -> int:
         return self.table.shape[1].bit_length() - 1
 
-    def combos(self) -> np.ndarray:
-        """2^K x K matrix of label combos in column order."""
-        K = self.K
-        _require_cells(2**K * K, f"the {K}-label combo matrix")
-        idx = np.arange(2**K)
-        return (idx[:, None] >> (K - 1 - np.arange(K))) & 1
-
     def marginal_eta(self) -> EtaTable:
+        # label k is bit K-1-k of the column: sum the columns whose bit is 1
+        eta = [self.table.reshape(self.n, 2**k, 2, -1)[:, :, 1, :].sum(axis=(1, 2)) for k in range(self.K)]
         # rows may sum to 1 + _PROB_TOL, so a marginal may round past 1
-        return EtaTable(np.minimum(self.table @ self.combos().astype(float), 1.0))
+        return EtaTable(np.minimum(np.column_stack(eta), 1.0))
 
 
 @dataclass(frozen=True)
@@ -464,7 +459,7 @@ def aggregate_distribution(model: EtaTable | JointLabelModel, aggregator: Aggreg
     Sum is the weighted sum with unit weights. An EtaTable (conditionally
     independent labels) convolves a weighted sum one label at a time over
     its value alphabet, costing K x levels per instance; an explicit
-    JointLabelModel sums its 2^K columns.
+    JointLabelModel sums its 2^K columns onto the same values.
     """
     if not isinstance(model, (EtaTable, JointLabelModel)):
         raise TypeError(f"unsupported label model {model!r}")
@@ -478,10 +473,12 @@ def aggregate_distribution(model: EtaTable | JointLabelModel, aggregator: Aggreg
     if len(aggregator.alphas) != model.K:
         raise ValueError("weight count must match K")
     if isinstance(model, JointLabelModel):
-        raw = model.combos() @ np.asarray(aggregator.alphas)
-        values, inverse = np.unique(np.round(raw, 12), return_inverse=True)
+        # level[c]: column c's index among the sums; each label appends its bit to c
+        level = np.zeros(1, dtype=np.intp)
+        for values, inverse in _lattice_steps(aggregator.alphas, model.n):
+            level = inverse[np.add.outer(level, [0, inverse.shape[0] // 2]).ravel()]
         probs = np.zeros((model.n, values.shape[0]))
-        np.add.at(probs.T, inverse, model.table.T)
+        np.add.at(probs.T, level, model.table.T)
         return AggregateDistribution(values, probs)
     probs = np.ones((model.n, 1))
     for (values, inverse), p in zip(_lattice_steps(aggregator.alphas, model.n), model.eta.T):

@@ -2,7 +2,7 @@
 
 Dataset schema: header row with feature columns f0..f{d-1} (decimal
 floats, '.' separator) followed by label columns y0..y{K-1} (0/1);
-UTF-8, LF line endings. Floats are written with repr so a round trip
+UTF-8, LF line endings. csv writes floats with repr, so a round trip
 reproduces the exact same doubles.
 """
 
@@ -15,34 +15,27 @@ import numpy as np
 
 from .core import InstanceSet, SampledLabels
 
-__all__ = ["write_dataset", "read_dataset", "write_rows", "format_value"]
+__all__ = ["write_dataset", "read_dataset", "write_rows"]
 
 
-def format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def write_rows(path, header: list[str], rows) -> None:
+    """Write the header, then rows: any iterable of sequences of str, int or float cells.
 
-
-def write_rows(path, header: list[str], rows: list[list]) -> None:
+    csv writes each cell as it is: a float (numpy float64 included) as its
+    repr, an int (numpy int64 included) as its digits, and a str quoted
+    where it holds a comma or a quote.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_dataset(path, instances: InstanceSet, labels: SampledLabels) -> None:
     if instances.n != labels.n:
         raise ValueError("feature and label row counts differ")
     header = [f"f{i}" for i in range(instances.d)] + [f"y{k}" for k in range(labels.K)]
-    rows = [
-        list(instances.features[i]) + list(labels.labels[i]) for i in range(instances.n)
-    ]
+    rows = (f + y for f, y in zip(instances.features.tolist(), labels.labels.tolist()))
     write_rows(path, header, rows)
 
 

@@ -7,7 +7,9 @@ Conventions, kept consistent per path:
     H(0) = 1/2, matching an expectation over two i.i.d. draws;
   - ties use exact floating-point equality, and +inf scores rank above
     every finite score (ties among +inf entries count 1/2); NaN scores are
-    rejected with ValueError.
+    rejected with ValueError;
+  - scores are a TableScorer or an array of n floats. Other Scorers map
+    features, which these functions never see: pass scorer.scores(instances).
 
 Every AUC goes through one sort-and-tie-grouping front end, _ranked. Sampled
 0/1 labels then count their pairs exactly as integer Mann-Whitney rank sums;
@@ -34,7 +36,7 @@ from .core import (
     LossAgg,
     PerLabel,
     SampledLabels,
-    Scorer,
+    TableScorer,
     _positive_weights,
     aggregate_distribution,
     aggregate_labels,
@@ -64,9 +66,9 @@ def h_matrix(scores: np.ndarray) -> np.ndarray:
     return (s[:, None] > s[None, :]) + 0.5 * (s[:, None] == s[None, :])
 
 
-def _checked_scores(scores, n: int) -> np.ndarray:
-    """A Scorer's or array's scores as a float vector; ValueError unless n long and NaN-free."""
-    s = np.asarray(scores.scores() if isinstance(scores, Scorer) else scores, dtype=float)
+def _checked_scores(scores: TableScorer | np.ndarray, n: int) -> np.ndarray:
+    """A TableScorer's or array's scores as a float vector; ValueError unless n long and NaN-free."""
+    s = np.asarray(scores.values if isinstance(scores, TableScorer) else scores, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"scores must be a vector, got shape {s.shape}")
     if s.shape[0] != n:
@@ -159,7 +161,7 @@ def _bipartite_aucs(scores, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return sums / pairs
 
 
-def bipartite_auc_empirical(scores, labels) -> float:
+def bipartite_auc_empirical(scores: TableScorer | np.ndarray, labels) -> float:
     """Fraction of (positive, negative) pairs ranked correctly, ties half."""
     y = np.asarray(labels)
     if not ((y == 0) | (y == 1)).all():
@@ -167,7 +169,7 @@ def bipartite_auc_empirical(scores, labels) -> float:
     return float(_label_aucs(scores, y[:, None])[0])
 
 
-def bipartite_auc_population(scores, eta_column) -> float:
+def bipartite_auc_population(scores: TableScorer | np.ndarray, eta_column) -> float:
     """Pairwise-weight AUC under per-instance positive probabilities."""
     eta = EtaTable(np.asarray(eta_column, dtype=float)[None, :]).eta
     return float(_bipartite_aucs(scores, eta, 1.0 - eta)[0])
@@ -191,7 +193,7 @@ def _multipartite(scores, probs: np.ndarray, costs: CostMatrix) -> float:
     return float(sums.sum() / total)
 
 
-def multipartite_auc(scores, ordinal_labels, costs: CostMatrix) -> float:
+def multipartite_auc(scores: TableScorer | np.ndarray, ordinal_labels, costs: CostMatrix) -> float:
     """Cost-weighted pair accuracy over ordinal labels, normalized to [0, 1]."""
     y = np.asarray(ordinal_labels)
     if not ((y >= 0) & (np.mod(y, 1) == 0)).all():
@@ -199,7 +201,9 @@ def multipartite_auc(scores, ordinal_labels, costs: CostMatrix) -> float:
     return _multipartite(scores, (y[:, None] == np.arange(y.max() + 1)).astype(float), costs)
 
 
-def multipartite_auc_population(scores, dist: AggregateDistribution, costs: CostMatrix) -> float:
+def multipartite_auc_population(
+    scores: TableScorer | np.ndarray, dist: AggregateDistribution, costs: CostMatrix
+) -> float:
     return _multipartite(scores, dist.probs, costs)
 
 
@@ -214,13 +218,13 @@ def _per_label_auc(scores, model) -> np.ndarray:
     raise TypeError(f"unsupported label model {model!r}")
 
 
-def loss_agg_auc(scores, model, weights) -> float:
+def loss_agg_auc(scores: TableScorer | np.ndarray, model, weights) -> float:
     """Weighted sum of per-label AUCs (unnormalized, as defined)."""
     per_label = _per_label_auc(scores, model)
     return float(_positive_weights(weights, per_label.shape[0]) @ per_label)
 
 
-def label_agg_auc(scores, model, aggregator: Aggregator, costs: CostMatrix) -> float:
+def label_agg_auc(scores: TableScorer | np.ndarray, model, aggregator: Aggregator, costs: CostMatrix) -> float:
     """Multipartite AUC of the aggregated label."""
     if isinstance(model, SampledLabels):
         return multipartite_auc(scores, aggregate_labels(model, aggregator), costs)
@@ -243,7 +247,7 @@ class AucReport:
         object.__setattr__(self, "per_label", arr)
 
 
-def auc_report(scores, model) -> AucReport:
+def auc_report(scores: TableScorer | np.ndarray, model) -> AucReport:
     per_label = _per_label_auc(scores, model)
     diff = float(abs(per_label[0] - per_label[1])) if per_label.shape[0] == 2 else None
     return AucReport(per_label=per_label, diff=diff, min=float(per_label.min()))

@@ -107,7 +107,7 @@ class CertifyResult:
     best_scorer: TableScorer
 
 
-def certify_bayes(scorer, model, objective, tol: float = 1e-12) -> CertifyResult:
+def certify_bayes(scorer: TableScorer | np.ndarray, model, objective, tol: float = 1e-12) -> CertifyResult:
     """Compare a scorer against the exhaustive weak-order maximizer."""
     w, z = population_pair_weights(model, objective)
     best_scorer, best_value = optimal_weak_order(w, z)

@@ -416,6 +416,10 @@ def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, 
         ("train", ["--resample-pi", "5:0.8"], 3),
         ("train", ["--resample-pi=-1:0.8"], 3),
         ("train", ["--model", "mlp:"], 3),
+        ("bound", ["--K", ","], 2),
+        ("skew-sweep", ["--pi2", ""], 2),
+        ("skew-sweep", ["--tau", ""], 2),
+        ("skew-sweep", ["--rho", " , "], 2),
     ],
 )
 def test_bad_counts_and_label_indices_exit_with_codes(command, flags, code, dataset_csv, tmp_path):
@@ -452,6 +456,10 @@ def test_bad_margin_and_learning_rate_flags_exit_2(command, flags, dataset_csv, 
         ("bound", "c=0.6", "expected a margin c in [0, 0.5]"),
         ("train", "lr=nan", "expected a finite learning rate"),
         ("train", "lr=-inf", "expected a finite learning rate"),
+        ("bound", "K=,", "expected a nonempty comma list"),
+        ("skew-sweep", "pi2=", "expected a nonempty comma list"),
+        ("skew-sweep", "tau=", "expected a nonempty comma list"),
+        ("skew-sweep", "rho=,", "expected a nonempty comma list"),
     ],
 )
 def test_bad_margin_and_learning_rate_in_config_exit_3(command, line, named, dataset_csv, tmp_path, capsys):

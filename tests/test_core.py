@@ -75,8 +75,28 @@ def _product_table(eta: EtaTable) -> np.ndarray:
 
 
 def test_combos_use_label0_as_most_significant_bit():
-    model = JointLabelModel(np.full((1, 4), 0.25))
-    assert model.combos().tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    # row c puts all its mass on column c, so its marginals are c's bits
+    model = JointLabelModel(np.eye(4))
+    assert model.marginal_eta().eta.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    # weights 2 and 1 give column c the weighted sum c
+    dist = aggregate_distribution(model, WeightedSum((2.0, 1.0)))
+    assert dist.values.tolist() == [0, 1, 2, 3]
+    assert dist.probs.tolist() == np.eye(4).tolist()
+
+
+def test_explicit_tables_need_no_combo_matrix():
+    # a 2 x 2^20 table is 16 MB; a 2^20 x 20 combo matrix would pass the cell cap
+    rng = np.random.default_rng(21)
+    table = rng.random((2, 2**20))
+    model = JointLabelModel(table / table.sum(axis=1, keepdims=True))
+    scores = np.array([0.0, 1.0])
+    assert auc_report(scores, model).per_label.shape == (20,)
+    assert 0.0 < loss_agg_auc(scores, model, np.ones(20)) < 20.0
+    w, z = population_pair_weights(model, LossAgg(tuple(np.ones(20))))
+    assert w.shape == (2, 2) and z == 1.0
+    dist = aggregate_distribution(model, Sum())
+    assert dist.values.tolist() == list(range(21))
+    np.testing.assert_allclose(dist.probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_explicit_table_matches_independent_products():
@@ -288,9 +308,11 @@ def test_lattice_convolution_matches_the_2k_table(K, kind, seed):
     independent = EtaTable(eta)
     models = [independent, JointLabelModel(_product_table(independent))]
     aggregators = [WeightedSum(tuple(alphas))] + ([Sum()] if kind == "unit" else [])
-    for model in models:
-        for agg in aggregators:
-            dist = aggregate_distribution(model, agg)
+    for agg in aggregators:
+        # both models place their sums on the same lattice: the same values to the bit
+        dists = [aggregate_distribution(model, agg) for model in models]
+        assert dists[0].values.tolist() == dists[1].values.tolist()
+        for dist in dists:
             np.testing.assert_allclose(dist.values, values, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(dist.probs, probs, rtol=0.0, atol=1e-12)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rankagg import InstanceSet, SampledLabels
-from rankagg.dataio import format_value, read_dataset, write_dataset, write_rows
+from rankagg.dataio import read_dataset, write_dataset, write_rows
 
 
 def test_float_round_trip_is_exact(tmp_path):
@@ -22,13 +22,6 @@ def test_written_files_use_lf_and_the_schema_header(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.decode().splitlines()[0] == "f0,f1,y0"
-
-
-def test_format_value():
-    assert format_value(True) == "1"
-    assert format_value(np.int64(4)) == "4"
-    assert format_value(0.1) == repr(0.1)
-    assert format_value("x") == "x"
 
 
 def test_read_rejects_bad_headers(tmp_path):
@@ -65,6 +58,11 @@ def test_empty_inputs_are_rejected(tmp_path):
 
 
 def test_write_rows_formats_every_cell(tmp_path):
+    # floats, numpy float64 included, as repr; ints as digits; strings quoted by csv
     path = tmp_path / "rows.csv"
-    write_rows(path, ["a", "b"], [[1, 0.5], [True, "z"]])
-    assert path.read_text() == "a,b\n1,0.5\n1,z\n"
+    cells = [np.float64(0.1), np.int64(4), 1 / 3, 7, np.inf, -np.inf, -0.0, 5e-324, 1e16, 'lossagg:1,"2"']
+    write_rows(path, ["a", "b"], [cells[:5], cells[5:]])
+    assert path.read_bytes() == b'a,b\n0.1,4,0.3333333333333333,7,inf\n-inf,-0.0,5e-324,1e+16,"lossagg:1,""2"""\n'
+    assert [repr(float(c)) for c in cells if isinstance(c, float)] == [
+        "0.1", "0.3333333333333333", "inf", "-inf", "-0.0", "5e-324", "1e+16"
+    ]

@@ -12,14 +12,17 @@ from rankagg import (
     DegenerateLabel,
     EtaTable,
     LabelAgg,
+    LinearScorer,
     LossAgg,
     PerLabel,
     SampledLabels,
     Sum,
+    TableScorer,
     WeightedSum,
     aggregate_distribution,
     auc_report,
     bipartite_auc_empirical,
+    certify_bayes,
     bipartite_auc_population,
     label_agg_auc,
     loss_agg_auc,
@@ -321,6 +324,24 @@ def test_loss_agg_auc_is_weighted_sum():
     a1 = bipartite_auc_population(scores, eta.eta[:, 0])
     a2 = bipartite_auc_population(scores, eta.eta[:, 1])
     assert loss_agg_auc(scores, eta, [2.0, 3.0]) == pytest.approx(2 * a1 + 3 * a2)
+
+
+def test_scores_are_a_table_scorer_or_an_array():
+    labels = SampledLabels(np.array([[1, 0], [0, 1], [1, 1], [0, 0]]))
+    eta = EtaTable(np.array([[0.9, 0.2], [0.1, 0.8], [0.5, 0.5], [0.3, 0.6]]))
+    values = np.array([3.0, 2.0, 1.0, 0.0])
+    table = TableScorer(values)
+    assert auc_report(table, labels).per_label.tolist() == auc_report(values, labels).per_label.tolist()
+    value = loss_agg_auc(values, eta, (1.0, 1.0))
+    assert certify_bayes(table, eta, LossAgg((1.0, 1.0))).scorer_value == pytest.approx(value, abs=1e-12)
+    # a feature scorer needs instances the metrics never see
+    linear = LinearScorer(np.array([1.0, 0.5]))
+    with pytest.raises(TypeError):
+        auc_report(linear, labels)
+    with pytest.raises(TypeError):
+        loss_agg_auc(linear, eta, (1.0, 1.0))
+    with pytest.raises(TypeError):
+        certify_bayes(linear, eta, LossAgg((1.0, 1.0)))
 
 
 def test_auc_report_fields():

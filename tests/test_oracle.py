@@ -246,6 +246,9 @@ def test_auc_scatter_front_matches_pareto_front(pairs, data):
     scan = OracleScan(None, pairs[:, 0], pairs[:, 1], np.zeros(len(pairs)), mult, 1, 1)
     auc_1, auc_2, counts, on_front = auc_scatter(scan)
     uniq = [(int(2 * x), int(2 * y)) for x, y in zip(auc_1, auc_2)]
+    # cmd_oracle writes the rows in this order without sorting them
+    rows = list(zip(auc_1.tolist(), auc_2.tolist()))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
     assert {uniq[i] for i in np.flatnonzero(on_front)} == {tuple(pairs[i]) for i in pareto_front(pairs)}
     raw = [tuple(p) for p in pairs.tolist()]
     assert counts.tolist() == [sum(m for p, m in zip(raw, mult) if p == u) for u in uniq]
