@@ -13,9 +13,8 @@ the median and quartiles of its repeats. Cases:
   seconds for all twelve;
 - ``sweep_points_n100000``: the twelve points of ``skew-sweep`` at its
   defaults (seed 0), with each rho solved beforehand: ``sigmoid_sweep``
-  builds each point's eta and labels (drawing the inputs and eta1 once per
-  tau), then both sweep scorers and their ``auc_report``; seconds for all
-  twelve;
+  builds each point's eta and labels (drawing the inputs once), then both
+  sweep scorers and their ``auc_report``; seconds for all twelve;
 - ``scale_condition_absdiff_m8``: ``bayes.scale_condition_holds`` on
   ``CostMatrix.absdiff(8)``; seconds per call;
 - ``surrogate_loss_grad_n600``: one exact logistic loss plus score gradient

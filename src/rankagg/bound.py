@@ -20,9 +20,10 @@ from .core import (
     TableScorer,
     WeightedSum,
     _positive_weights,
+    _require_cells,
 )
 from .errors import DegenerateVariance
-from .oracle import certify_bayes
+from .oracle import _require_exhaustive, certify_bayes
 
 __all__ = ["BoundReport", "psi", "gap_bound", "measure_gap", "evaluate_bound"]
 
@@ -53,7 +54,12 @@ def _moment_sums(eta: EtaTable, weights) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gap_bound(eta: EtaTable, weights) -> BoundReport:
-    """Third-moment-ratio bound: psi(mean over pairs of sum a^3 v / (sum a^2 v)^1.5)."""
+    """Third-moment-ratio bound: psi(mean over pairs of sum a^3 v / (sum a^2 v)^1.5).
+
+    The pair average builds n x n arrays, so it raises TooLarge first if
+    their n^2 cells pass the cell cap.
+    """
+    _require_cells(eta.n * eta.n, f"the pair average over {eta.n} instances")
     u2, u3 = _moment_sums(eta, weights)
     num = u3[:, None] + u3[None, :]
     den = (u2[:, None] + u2[None, :]) ** 1.5
@@ -80,6 +86,8 @@ def measure_gap(eta: EtaTable, weights) -> float:
 
 
 def evaluate_bound(eta: EtaTable, weights) -> BoundReport:
+    """gap_bound with its measured gap; raises TooLarge before either if n > MAX_EXHAUSTIVE_N."""
+    _require_exhaustive(eta.n)
     report = gap_bound(eta, weights)
     return BoundReport(
         K=report.K,

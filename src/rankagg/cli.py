@@ -37,7 +37,15 @@ from .core import (
 )
 from .errors import BudgetExceeded, DegenerateLabel, RankAggError, TooLarge
 from .metrics import auc_report
-from .oracle import DEFAULT_BUDGET, MAX_EXHAUSTIVE_N, auc_scatter, index_equal, index_subset, maximizer_sets
+from .oracle import (
+    DEFAULT_BUDGET,
+    MAX_EXHAUSTIVE_N,
+    _require_exhaustive,
+    auc_scatter,
+    index_equal,
+    index_subset,
+    maximizer_sets,
+)
 from .bound import evaluate_bound
 from .surrogate import Hinge, Logistic, TrainConfig, train
 from .synthgen import gen_gaussian_bilevel, resample_to_skew, sigmoid_sweep
@@ -448,8 +456,7 @@ def cmd_oracle(args):
 
 
 def cmd_bound(args):
-    if args.n > MAX_EXHAUSTIVE_N:
-        raise TooLarge(f"{args.n} instances exceed the exhaustive limit {MAX_EXHAUSTIVE_N}")
+    _require_exhaustive(args.n)
 
     def run_k(K: int) -> list:
         start = time.perf_counter()

@@ -124,16 +124,22 @@ class InstanceSet:
 
 @dataclass(frozen=True)
 class SampledLabels:
-    """n x K binary label matrix."""
+    """n x K binary label matrix, stored as one-byte int8.
+
+    Sums and products along an axis give int64, means and matrix products
+    with float weights float64; elementwise arithmetic and products with
+    other int8 arrays (labels * k, labels.T @ labels) stay int8 and can
+    overflow, so cast first.
+    """
 
     labels: np.ndarray
 
     def __post_init__(self):
-        # check before the int64 cast, which would truncate 0.7 to 0
+        # check before the int8 cast, which would truncate 0.7 to 0
         raw = np.asarray(self.labels)
         if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("labels must be 0/1")
-        lab = _frozen_array(raw, dtype=np.int64, ndim=2)
+        lab = _frozen_array(raw, dtype=np.int8, ndim=2)
         if lab.shape[1] < 1:
             raise ValueError("need at least one label column")
         object.__setattr__(self, "labels", lab)

@@ -38,6 +38,7 @@ from .core import (
     SampledLabels,
     TableScorer,
     _positive_weights,
+    _require_cells,
     aggregate_distribution,
     aggregate_labels,
 )
@@ -129,12 +130,15 @@ def _label_aucs(scores, labels) -> np.ndarray:
     2S = sum over positives of twice the midrank - P (P - 1) for P
     positives, exact in int64, and the AUC is (2S / 2) / (P N) for N
     negatives. The float pair sums of the same 0/1 weights are half-integers
-    below 2^53, so they are exact too and give these bits.
+    below 2^53, so they are exact too and give these bits. The rank sum
+    reads each label's sorted positive positions, so no n-long integer
+    array is built: without ties it is twice their sum, and with ties each
+    run's twice midrank times its count of positives.
     """
     rows = np.ascontiguousarray(np.asarray(labels).T, dtype=bool)
     n = rows.shape[1]
     order, starts = _ranked(scores, n)
-    # the labels in score order; the order is dropped before the ranks are built
+    # the labels in score order; the order is dropped before the rank sums
     rows = np.take(rows, order, axis=1)
     del order
     n_pos = np.count_nonzero(rows, axis=1)
@@ -142,13 +146,18 @@ def _label_aucs(scores, labels) -> np.ndarray:
     bad = np.flatnonzero((n_pos == 0) | (n_neg == 0))
     if bad.size:
         raise DegenerateLabel(f"label {bad[0]} needs positive and negative examples")
-    if starts is None:
-        twice_rank = np.arange(0, 2 * n, 2, dtype=np.int64)
-    else:
-        sizes = np.diff(starts, append=n)
-        twice_rank = np.repeat(2 * starts + sizes - 1, sizes)
-    # one label at a time, so the int64 cast of a 0/1 row takes n entries, not K n
-    twice_count = np.array([row @ twice_rank for row in rows]) - n_pos * (n_pos - 1)
+    if starts is not None:
+        twice_run_rank = 2 * starts + np.diff(starts, append=n) - 1
+    twice_sums = []
+    for row in rows:
+        at = np.flatnonzero(row)
+        if starts is None:
+            twice_sums.append(2 * int(at.sum()))
+        else:
+            # positives in run g: those before run g + 1 starts less those before run g starts
+            before = np.searchsorted(at, starts)
+            twice_sums.append(int(np.diff(before, append=at.size) @ twice_run_rank))
+    twice_count = np.array(twice_sums) - n_pos * (n_pos - 1)
     return (twice_count / 2) / (n_pos * n_neg)
 
 
@@ -283,10 +292,12 @@ def population_pair_weights(model, objective) -> tuple[np.ndarray, float]:
     columns the AUC kernel sums over: eta a_k / (n^2 pi_k (1 - pi_k)) and
     1 - eta per label, or the aggregate law and its cost-weighted lower
     levels. This single quadratic form is what the exhaustive weak-order
-    maximizer optimizes.
+    maximizer optimizes. Raises TooLarge before building it if its n^2
+    cells pass the cell cap.
     """
     if not isinstance(model, (EtaTable, JointLabelModel)):
         raise TypeError("population weights need a probability model")
+    _require_cells(model.n * model.n, f"the pair-weight matrix of {model.n} instances")
     if isinstance(objective, (PerLabel, LossAgg)):
         if isinstance(objective, PerLabel):
             labels, a = [objective.k], np.ones(1)

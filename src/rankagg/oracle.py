@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampledLabels, TableScorer
+from .core import EtaTable, JointLabelModel, SampledLabels, TableScorer
 from .errors import BudgetExceeded, DegenerateLabel, TooLarge
 from .metrics import _checked_scores, h_matrix, population_pair_weights
 
@@ -49,6 +49,11 @@ MAX_EXHAUSTIVE_N = 12  # 3^12 = 531,441 (subset, top block) pairs
 DEFAULT_BUDGET = 10**7
 
 
+def _require_exhaustive(n: int) -> None:
+    if n > MAX_EXHAUSTIVE_N:
+        raise TooLarge(f"{n} instances exceed the exhaustive limit {MAX_EXHAUSTIVE_N}")
+
+
 def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[TableScorer, float]:
     """Exact maximizer of sum_ij W_ij H(s_i - s_j) / Z over all scorers."""
     w = np.asarray(weights, dtype=float)
@@ -57,8 +62,7 @@ def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[Ta
     n = w.shape[0]
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > MAX_EXHAUSTIVE_N:
-        raise TooLarge(f"{n} instances exceed the exhaustive limit {MAX_EXHAUSTIVE_N}")
+    _require_exhaustive(n)
     masks = np.arange(1 << n)
     members = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     out_weight = members @ w  # row m: sum over i in m of W[i, :]
@@ -92,9 +96,17 @@ def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[Ta
     return TableScorer(scores), value
 
 
+def _exhaustive_pair_weights(model, objective) -> tuple[np.ndarray, float]:
+    """population_pair_weights(model, objective), raising TooLarge first, before
+    any n x n allocation, if the model's n exceeds the exhaustive limit."""
+    if isinstance(model, (EtaTable, JointLabelModel)):
+        _require_exhaustive(model.n)
+    return population_pair_weights(model, objective)
+
+
 def optimal_weak_order_for(model, objective) -> tuple[TableScorer, float]:
     """Exact maximizer of a population objective on a finite instance set."""
-    w, z = population_pair_weights(model, objective)
+    w, z = _exhaustive_pair_weights(model, objective)
     return optimal_weak_order(w, z)
 
 
@@ -109,7 +121,7 @@ class CertifyResult:
 
 def certify_bayes(scorer: TableScorer | np.ndarray, model, objective, tol: float = 1e-12) -> CertifyResult:
     """Compare a scorer against the exhaustive weak-order maximizer."""
-    w, z = population_pair_weights(model, objective)
+    w, z = _exhaustive_pair_weights(model, objective)
     best_scorer, best_value = optimal_weak_order(w, z)
     scorer_value = float((w * h_matrix(_checked_scores(scorer, w.shape[0]))).sum() / z)
     gap = best_value - scorer_value

@@ -156,7 +156,7 @@ def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
 
 
 def _sample_labels(eta: np.ndarray, uniforms: np.ndarray) -> SampledLabels:
-    return SampledLabels(_frozen((uniforms < eta).astype(np.int64)))
+    return SampledLabels(_frozen((uniforms < eta).astype(np.int8)))
 
 
 def _sigmoid_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,23 +165,19 @@ def _sigmoid_draws(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return feats, _rng(seed, _STREAM_LABELS).random((n, 2))
 
 
-def _sigmoid_eta1(feats: np.ndarray, tau: float) -> np.ndarray:
-    """gen_sigmoid_pair's eta1 = s(tau w1.x), which does not depend on rho."""
-    z = feats @ _W1
-    z *= tau
-    return _sigmoid(z, out=z)
-
-
 def _sigmoid_pair_from_draws(
-    feats: np.ndarray, uniforms: np.ndarray, eta1: np.ndarray, tau: float, rho: float
+    feats: np.ndarray, uniforms: np.ndarray, tau: float, rho: float
 ) -> tuple[EtaTable, SampledLabels]:
-    """gen_sigmoid_pair's eta table and labels at (tau, rho) for already drawn inputs and eta1.
+    """gen_sigmoid_pair's eta table and labels at (tau, rho) for already drawn inputs.
 
-    eta2 = s(tau (w2.x - rho)) is built in eta's second column; w2 = (0, 1),
-    so w2.x is x2 bit for bit.
+    eta1 = s(tau w1.x) and eta2 = s(tau (w2.x - rho)) are built in eta's two
+    columns, with no array of their own; w2 = (0, 1), so w2.x is x2 bit for
+    bit.
     """
     eta = np.empty((feats.shape[0], 2))
-    eta[:, 0] = eta1
+    eta1 = np.matmul(feats, _W1, out=eta[:, 0])
+    eta1 *= tau
+    _sigmoid(eta1, out=eta1)
     eta2 = np.subtract(feats[:, 1], rho, out=eta[:, 1])
     eta2 *= tau
     _sigmoid(eta2, out=eta2)
@@ -193,8 +189,7 @@ def gen_sigmoid_pair(config: SigmoidSynthConfig) -> SynthData:
     if config.n < 1:
         raise ValueError("need n >= 1")
     feats, uniforms = _sigmoid_draws(config.n, config.seed)
-    eta1 = _sigmoid_eta1(feats, config.tau)
-    return SynthData(InstanceSet(feats), *_sigmoid_pair_from_draws(feats, uniforms, eta1, config.tau, config.rho))
+    return SynthData(InstanceSet(feats), *_sigmoid_pair_from_draws(feats, uniforms, config.tau, config.rho))
 
 
 def sigmoid_sweep(n: int, seed: int, taus, rhos=None, pi2=None) -> Iterator[tuple]:
@@ -202,7 +197,8 @@ def sigmoid_sweep(n: int, seed: int, taus, rhos=None, pi2=None) -> Iterator[tupl
 
     For each tau in turn, rho runs over rhos (target None) or else solves
     mean eta2 = target for each target in pi2, raising ValueError if no rho
-    in [-50, 50] does. The inputs are drawn once, and eta1 once per tau.
+    in [-50, 50] does. The inputs are drawn once; each point builds its own
+    eta, so only the draws outlive a point.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -212,9 +208,8 @@ def sigmoid_sweep(n: int, seed: int, taus, rhos=None, pi2=None) -> Iterator[tupl
             points = [(rho, None) for rho in rhos]
         else:
             points = [(_solve_rho_for_pi2(feats, tau, target), target) for target in pi2]
-        eta1 = _sigmoid_eta1(feats, tau)
         for rho, target in points:
-            yield (tau, rho, target, *_sigmoid_pair_from_draws(feats, uniforms, eta1, tau, rho))
+            yield (tau, rho, target, *_sigmoid_pair_from_draws(feats, uniforms, tau, rho))
 
 
 def gen_gaussian_bilevel(n: int, seed: int) -> SynthData:
@@ -228,7 +223,7 @@ def gen_gaussian_bilevel(n: int, seed: int) -> SynthData:
     a = _rng(seed, _STREAM_WEIGHTS).uniform(0.0, 1.0, (2, 2))
     z = _rng(seed, _STREAM_FEATURES).standard_normal((n, 2))
     feats = z @ a.T
-    labels = (feats > 0.0).astype(np.int64)
+    labels = (feats > 0.0).astype(np.int8)
     return SynthData(InstanceSet(feats), EtaTable(labels.astype(float)), SampledLabels(labels))
 
 

@@ -1,4 +1,6 @@
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from rankagg import (
     product_agg_bayes_scorer,
     surrogate_objective,
 )
+from rankagg.dataio import read_dataset, write_dataset
 from rankagg.metrics import h_matrix, population_pair_weights
 
 eta_tables = arrays(
@@ -395,7 +398,7 @@ def _read_only(arr):
 
 def test_frozen_types_adopt_owned_read_only_arrays_and_copy_the_rest():
     eta = _read_only(np.full((4, 2), 0.5))
-    labels = _read_only(np.ones((4, 2), dtype=np.int64))
+    labels = _read_only(np.ones((4, 2), dtype=np.int8))
     scores = _read_only(np.arange(4.0))
     assert np.shares_memory(EtaTable(eta).eta, eta)
     assert np.shares_memory(SampledLabels(labels).labels, labels)
@@ -428,3 +431,54 @@ def test_frozen_types_adopt_owned_read_only_arrays_and_copy_the_rest():
     ]:
         with pytest.raises(ValueError):
             build(_read_only(bad))
+
+
+def _int64_aucs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-label AUCs as int64 Mann-Whitney rank sums: twice each midrank, summed over the positives."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    twice_rank = (2 * starts + counts - 1)[inverse].astype(np.int64)
+    n_pos = labels.sum(axis=0)
+    twice_count = twice_rank @ labels - n_pos * (n_pos - 1)
+    return (twice_count / 2) / (n_pos * (labels.shape[0] - n_pos))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 2000),
+    st.integers(1, 20),
+    st.floats(0.0, 1.0),
+    st.sampled_from([np.int64, np.bool_, np.int8]),
+    st.sampled_from(["C", "F"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_byte_labels_give_the_int64_bits(n, K, rate, dtype, order, seed):
+    rng = np.random.default_rng(seed)
+    ref = (rng.random((n, K)) < rate).astype(np.int64)
+    labels = SampledLabels(np.array(ref, dtype=dtype, order=order))
+    stored = labels.labels
+    assert stored.dtype == np.int8 and stored.flags.c_contiguous and not stored.flags.writeable
+    assert stored.tolist() == ref.tolist()
+    alphas = rng.integers(1, 4, K) + rng.choice([0.0, 0.5, 0.25], K)
+    _, ordinal = np.unique(np.round(ref @ alphas, 12), return_inverse=True)
+    for aggregator, want in [(Sum(), ref.sum(axis=1)), (Product(), ref.prod(axis=1)), (WeightedSum(alphas), ordinal)]:
+        got = aggregate_labels(labels, aggregator)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert PriorVector.from_labels(labels).pi.tobytes() == ref.mean(axis=0).tobytes()
+    n_pos = ref.sum(axis=0)
+    for scores in (rng.permutation(n).astype(float), rng.integers(0, 5, n).astype(float)):
+        if ((n_pos == 0) | (n_pos == n)).any():
+            with pytest.raises(DegenerateLabel):
+                auc_report(scores, labels)
+        else:
+            assert auc_report(scores, labels).per_label.tobytes() == _int64_aucs(scores, ref).tobytes()
+    features = rng.standard_normal((n, 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        write_dataset(path, InstanceSet(features), labels)
+        text = path.read_bytes()
+        back = read_dataset(path)[1].labels
+    header = ",".join(["f0", "f1"] + [f"y{k}" for k in range(K)])
+    lines = [",".join([*map(repr, f), *map(str, y)]) for f, y in zip(features.tolist(), ref.tolist())]
+    assert text == ("\n".join([header] + lines) + "\n").encode()
+    assert back.dtype == np.int8 and back.tobytes() == stored.tobytes()

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,12 @@ from rankagg import (
     TooLarge,
     bipartite_auc_empirical,
     certify_bayes,
+    evaluate_bound,
+    gap_bound,
     label_agg_bayes_scorer_sum,
     loss_agg_bayes_scorer,
     maximizer_sets,
+    measure_gap,
     optimal_weak_order,
     optimal_weak_order_for,
 )
@@ -67,6 +71,36 @@ def test_weak_order_limit():
     optimal_weak_order(np.ones((MAX_EXHAUSTIVE_N, MAX_EXHAUSTIVE_N)))
     with pytest.raises(TooLarge):
         optimal_weak_order(np.ones((MAX_EXHAUSTIVE_N + 1, MAX_EXHAUSTIVE_N + 1)))
+
+
+_UNIFORM3 = LabelAgg(Sum(), CostMatrix.uniform(3))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda eta: certify_bayes(eta.eta.sum(axis=1), eta, _UNIFORM3),
+        lambda eta: optimal_weak_order_for(eta, LossAgg((1.0, 1.0))),
+        lambda eta: population_pair_weights(eta, PerLabel(0)),
+        lambda eta: population_pair_weights(eta, _UNIFORM3),
+        lambda eta: gap_bound(eta, np.ones(2)),
+        lambda eta: measure_gap(eta, np.ones(2)),
+        lambda eta: evaluate_bound(eta, np.ones(2)),
+    ],
+    ids=["certify_bayes", "optimal_weak_order_for", "pair_weights_per_label", "pair_weights_label_agg",
+         "gap_bound", "measure_gap", "evaluate_bound"],
+)
+def test_oversized_instance_sets_fail_before_any_pair_matrix(entry):
+    # one n x n float matrix at n = 5000 is 200 MB
+    eta = EtaTable(np.random.default_rng(0).uniform(0.2, 0.8, (5000, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            entry(eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 weight_entries = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0)

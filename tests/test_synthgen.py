@@ -33,7 +33,7 @@ def test_growing_n_preserves_the_earlier_prefix():
 
 
 def test_shared_draws_reproduce_gen_sigmoid_pair_bit_for_bit():
-    # the sweep draws once, and shares one eta1 per tau among every rho
+    # the sweep draws once, and each point builds eta1 and eta2 in its own eta
     taus, rhos, targets = (0.5, 5.0, 200.0), (-1.3, 0.0, 0.4), (0.3, 0.9)
     feats, _ = _sigmoid_draws(500, 3)
     given = [(tau, rho, None) for tau in taus for rho in rhos]
