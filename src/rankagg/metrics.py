@@ -131,9 +131,10 @@ def _label_aucs(scores, labels) -> np.ndarray:
     positives, exact in int64, and the AUC is (2S / 2) / (P N) for N
     negatives. The float pair sums of the same 0/1 weights are half-integers
     below 2^53, so they are exact too and give these bits. The rank sum
-    reads each label's sorted positive positions, so no n-long integer
-    array is built: without ties it is twice their sum, and with ties each
-    run's twice midrank times its count of positives.
+    reads each label's sorted positive positions (P long), with no n-long
+    rank vector and no integer copy of a label row: without ties it is
+    twice their sum, and with ties each run's twice midrank times its
+    count of positives.
     """
     rows = np.ascontiguousarray(np.asarray(labels).T, dtype=bool)
     n = rows.shape[1]
