@@ -32,6 +32,10 @@ the median and quartiles of its repeats. Cases:
 - ``evaluate_bound_n5_k256``: ``bound.evaluate_bound`` with unit weights
   over n=5 instances and K=256 labels, eta drawn as above; seconds per call.
   The two cases pass an ``EtaTable`` as the label model;
+- ``certify_bayes_n<n>``: ``oracle.certify_bayes`` of the probability-sum
+  scorer under ``bound``'s objective (the uniform-cost multipartite AUC of
+  the sum of K=4 labels) over n in {8, 10, 12} instances, eta drawn as
+  above: the subset DP and both pair-kernel values; seconds per call;
 - ``oracle_n25_seeds0to4``, ``oracle_n60_seed3``, ``oracle_n100_seed1``:
   ``oracle.maximizer_sets`` plus ``oracle.auc_scatter`` at the ``rankagg
   oracle`` defaults (P=3, weights up to 5) on ``gen_gaussian_bilevel``
@@ -93,6 +97,7 @@ ORACLE_REPEATS = 3
 AGGREGATE_N = 100
 AGGREGATE_KS = (2, 16, 64, 256)
 BOUND_N, BOUND_K = 5, 256
+CERTIFY_NS, CERTIFY_K = (8, 10, 12), 4
 
 
 def _git(src: Path, *args: str) -> str | None:
@@ -221,7 +226,7 @@ def _oracle_cases() -> dict:
 
 
 def _label_model_cases() -> dict:
-    from rankagg import EtaTable, Sum, aggregate_distribution, evaluate_bound
+    from rankagg import CostMatrix, EtaTable, LabelAgg, Sum, aggregate_distribution, certify_bayes, evaluate_bound
 
     rng = np.random.default_rng(0)
     cases = {}
@@ -234,6 +239,13 @@ def _label_model_cases() -> dict:
     cases[f"evaluate_bound_n{BOUND_N}_k{BOUND_K}"] = _timings(
         lambda: evaluate_bound(eta, np.ones(BOUND_K)), number=1, repeats=REPEATS
     )
+    objective = LabelAgg(Sum(), CostMatrix.uniform(CERTIFY_K + 1))
+    for n in CERTIFY_NS:
+        eta = EtaTable(rng.uniform(0.2, 0.8, (n, CERTIFY_K)))
+        scores = eta.eta.sum(axis=1)
+        cases[f"certify_bayes_n{n}"] = _timings(
+            lambda: certify_bayes(scores, eta, objective), number=1, repeats=REPEATS
+        )
     return cases
 
 

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bayes import label_agg_bayes_scorer_weighted
 from .core import (
     CostMatrix,
     EtaTable,
     LabelAgg,
-    TableScorer,
     WeightedSum,
     _positive_weights,
     _require_cells,
@@ -67,11 +67,6 @@ def gap_bound(eta: EtaTable, weights) -> BoundReport:
     return BoundReport(K=eta.K, argument=argument, bound_value=psi(argument))
 
 
-def _aggregate_objective(weights) -> LabelAgg:
-    agg = WeightedSum(weights)
-    return LabelAgg(agg, CostMatrix.uniform(agg.values().shape[0]))
-
-
 def measure_gap(eta: EtaTable, weights) -> float:
     """Exact optimality gap of the weighted-probability scorer.
 
@@ -80,9 +75,9 @@ def measure_gap(eta: EtaTable, weights) -> float:
     weak-order search, so n <= oracle.MAX_EXHAUSTIVE_N (12) applies.
     """
     _moment_sums(eta, weights)  # same premise check as the bound
-    scorer = TableScorer(eta.eta @ np.asarray(weights, dtype=float))
-    result = certify_bayes(scorer, eta, _aggregate_objective(weights))
-    return float(result.gap)
+    agg = WeightedSum(weights)
+    objective = LabelAgg(agg, CostMatrix.uniform(agg.values().shape[0]))
+    return float(certify_bayes(label_agg_bayes_scorer_weighted(eta, weights), eta, objective).gap)
 
 
 def evaluate_bound(eta: EtaTable, weights) -> BoundReport:

@@ -442,7 +442,7 @@ class AggregateDistribution:
 
 
 def aggregate_labels(labels: SampledLabels, aggregator: Aggregator) -> np.ndarray:
-    """Collapse the K binary labels of each row into one ordinal label."""
+    """Collapse the K binary labels of each row into its index among aggregate_distribution's values."""
     lab = labels.labels
     if isinstance(aggregator, Sum):
         return lab.sum(axis=1)
@@ -451,11 +451,11 @@ def aggregate_labels(labels: SampledLabels, aggregator: Aggregator) -> np.ndarra
     if isinstance(aggregator, WeightedSum):
         if len(aggregator.alphas) != labels.K:
             raise ValueError("weight count must match K")
-        raw = lab @ np.asarray(aggregator.alphas)
-        # dense ordinal alphabet over the observed distinct values, with sums
-        # equal to 12 decimals counted as one, as in aggregate_distribution
-        _, ordinal = np.unique(np.round(raw, 12), return_inverse=True)
-        return ordinal
+        # each label appends its bit to the level index, as for a JointLabelModel's columns
+        level = np.zeros(labels.n, dtype=np.intp)
+        for (_, inverse), bit in zip(_lattice_steps(aggregator.alphas), lab.T):
+            level = inverse[np.where(bit, level + inverse.shape[0] // 2, level)]
+        return level
     raise TypeError(f"unknown aggregator {aggregator!r}")
 
 

@@ -14,10 +14,10 @@ Conventions, kept consistent per path:
 Every AUC goes through one sort-and-tie-grouping front end, _ranked. Sampled
 0/1 labels then count their pairs exactly as integer Mann-Whitney rank sums;
 every other AUC is a weighted pair sum sum_ij u_i v_j H(s_i - s_j), reduced
-by weighted cumulative sums. A population objective's pair weights are
-W = u v^T of the same weight columns; population_pair_weights builds that
-dense n x n matrix only for the exhaustive oracle, which evaluates it
-against h_matrix.
+by weighted cumulative sums. _weight_rows builds a population objective's
+rows u and v once, with its checks; the population AUCs and the oracle's
+values read them, and _pair_matrix turns them into the dense n x n matrix W
+that only the oracle's subset DP reads.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .errors import DegenerateLabel
 
 __all__ = [
     "AucReport",
-    "h_matrix",
     "bipartite_auc_empirical",
     "bipartite_auc_population",
     "multipartite_auc",
@@ -58,13 +57,6 @@ __all__ = [
     "pareto_front",
     "population_pair_weights",
 ]
-
-
-def h_matrix(scores: np.ndarray) -> np.ndarray:
-    """H(f_i - f_j) for all ordered pairs: 1 if greater, 1/2 on exact ties."""
-    s = np.asarray(scores, dtype=float)
-    # comparisons (not subtraction) so +inf sentinels never produce NaN
-    return (s[:, None] > s[None, :]) + 0.5 * (s[:, None] == s[None, :])
 
 
 def _checked_scores(scores: TableScorer | np.ndarray, n: int) -> np.ndarray:
@@ -162,13 +154,57 @@ def _label_aucs(scores, labels) -> np.ndarray:
     return (twice_count / 2) / (n_pos * n_neg)
 
 
-def _bipartite_aucs(scores, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Per-row AUCs for positive and negative weight rows (K x n)."""
-    sums, pairs = _pair_sums(scores, pos, neg)
-    bad = np.flatnonzero(pairs == 0.0)
+def _level_rows(probs: np.ndarray, costs: CostMatrix) -> tuple[np.ndarray, np.ndarray, None]:
+    """Weight rows of the cost-weighted pair accuracy over per-level weights probs (n x levels).
+
+    Row m pairs u = probs[:, m] with v = sum over m' < m of c[m, m'] probs[:, m'], with no row
+    weights; raises DegenerateLabel when no discordant pair carries positive cost.
+    """
+    levels = probs.shape[1]
+    if costs.size < levels:
+        raise ValueError("cost matrix smaller than the ordinal alphabet")
+    lower = probs @ np.tril(costs.costs[:levels, :levels], -1).T
+    if not (probs.any(axis=0) & lower.any(axis=0)).any():
+        raise DegenerateLabel("no discordant pair carries positive cost")
+    return probs.T, lower.T, None
+
+
+def _label_weights(objective, K: int) -> tuple[list[int], np.ndarray]:
+    """The labels a PerLabel or LossAgg objective reads, and their checked weights."""
+    if isinstance(objective, PerLabel):
+        return [objective.k], np.ones(1)
+    if isinstance(objective, LossAgg):
+        return list(range(K)), _positive_weights(objective.weights, K)
+    raise TypeError(f"unsupported objective {objective!r}")
+
+
+def _weight_rows(model, objective) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The pair kernel's weight rows u and v (L x n) of a population objective, and its row weights a.
+
+    PerLabel and LossAgg read eta_k and 1 - eta_k for each label k they
+    weight, from a JointLabelModel's marginals, and raise DegenerateLabel
+    when a label has no positive or no negative weight. LabelAgg reads the
+    _level_rows of the aggregate law.
+    """
+    if not isinstance(model, (EtaTable, JointLabelModel)):
+        raise TypeError(f"unsupported label model {model!r}")
+    if isinstance(objective, LabelAgg):
+        return _level_rows(aggregate_distribution(model, objective.aggregator).probs, objective.costs)
+    labels, a = _label_weights(objective, model.K)
+    eta = (model.marginal_eta() if isinstance(model, JointLabelModel) else model).eta
+    u = eta[:, labels].T
+    v = 1.0 - u
+    bad = np.flatnonzero(~(u.any(axis=1) & v.any(axis=1)))
     if bad.size:
-        raise DegenerateLabel(f"label {bad[0]} needs positive and negative weight")
-    return sums / pairs
+        raise DegenerateLabel(f"label {labels[bad[0]]} needs positive and negative weight")
+    return u, v, a
+
+
+def _objective_value(scores, rows) -> float:
+    """a @ (sums / pairs) of _pair_sums over weight rows (u, v, a), or sums.sum() / pairs.sum() if a is None."""
+    u, v, a = rows
+    sums, pairs = _pair_sums(scores, u, v)
+    return float(sums.sum() / pairs.sum() if a is None else a @ (sums / pairs))
 
 
 def bipartite_auc_empirical(scores: TableScorer | np.ndarray, labels) -> float:
@@ -181,26 +217,8 @@ def bipartite_auc_empirical(scores: TableScorer | np.ndarray, labels) -> float:
 
 def bipartite_auc_population(scores: TableScorer | np.ndarray, eta_column) -> float:
     """Pairwise-weight AUC under per-instance positive probabilities."""
-    eta = EtaTable(np.asarray(eta_column, dtype=float)[None, :]).eta
-    return float(_bipartite_aucs(scores, eta, 1.0 - eta)[0])
-
-
-def _cost_lower(probs: np.ndarray, costs: CostMatrix) -> np.ndarray:
-    """lower[j, m] = sum over m' < m of c[m, m'] probs[j, m'] for probs (n x levels)."""
-    levels = probs.shape[1]
-    if costs.size < levels:
-        raise ValueError("cost matrix smaller than the ordinal alphabet")
-    return probs @ np.tril(costs.costs[:levels, :levels], -1).T
-
-
-def _multipartite(scores, probs: np.ndarray, costs: CostMatrix) -> float:
-    """Cost-weighted pair accuracy for per-level weights probs (n x levels)."""
-    lower = _cost_lower(probs, costs)
-    sums, pairs = _pair_sums(scores, np.ascontiguousarray(probs.T), np.ascontiguousarray(lower.T))
-    total = pairs.sum()
-    if total == 0.0:
-        raise DegenerateLabel("no discordant pair carries positive cost")
-    return float(sums.sum() / total)
+    model = EtaTable(np.asarray(eta_column, dtype=float)[:, None])
+    return _objective_value(scores, _weight_rows(model, PerLabel(0)))
 
 
 def multipartite_auc(scores: TableScorer | np.ndarray, ordinal_labels, costs: CostMatrix) -> float:
@@ -208,39 +226,28 @@ def multipartite_auc(scores: TableScorer | np.ndarray, ordinal_labels, costs: Co
     y = np.asarray(ordinal_labels)
     if not ((y >= 0) & (np.mod(y, 1) == 0)).all():
         raise ValueError("ordinal labels must be non-negative integers")
-    return _multipartite(scores, (y[:, None] == np.arange(y.max() + 1)).astype(float), costs)
+    return _objective_value(scores, _level_rows((y[:, None] == np.arange(y.max() + 1)).astype(float), costs))
 
 
 def multipartite_auc_population(
     scores: TableScorer | np.ndarray, dist: AggregateDistribution, costs: CostMatrix
 ) -> float:
-    return _multipartite(scores, dist.probs, costs)
-
-
-def _per_label_auc(scores, model) -> np.ndarray:
-    if isinstance(model, SampledLabels):
-        return _label_aucs(scores, model.labels)
-    if isinstance(model, EtaTable):
-        eta = np.ascontiguousarray(model.eta.T)
-        return _bipartite_aucs(scores, eta, 1.0 - eta)
-    if isinstance(model, JointLabelModel):
-        return _per_label_auc(scores, model.marginal_eta())
-    raise TypeError(f"unsupported label model {model!r}")
+    return _objective_value(scores, _level_rows(dist.probs, costs))
 
 
 def loss_agg_auc(scores: TableScorer | np.ndarray, model, weights) -> float:
     """Weighted sum of per-label AUCs (unnormalized, as defined)."""
-    per_label = _per_label_auc(scores, model)
-    return float(_positive_weights(weights, per_label.shape[0]) @ per_label)
+    objective = LossAgg(weights)
+    if isinstance(model, SampledLabels):
+        return float(_label_weights(objective, model.K)[1] @ _label_aucs(scores, model.labels))
+    return _objective_value(scores, _weight_rows(model, objective))
 
 
 def label_agg_auc(scores: TableScorer | np.ndarray, model, aggregator: Aggregator, costs: CostMatrix) -> float:
     """Multipartite AUC of the aggregated label."""
     if isinstance(model, SampledLabels):
         return multipartite_auc(scores, aggregate_labels(model, aggregator), costs)
-    if isinstance(model, (EtaTable, JointLabelModel)):
-        return multipartite_auc_population(scores, aggregate_distribution(model, aggregator), costs)
-    raise TypeError(f"unsupported label model {model!r}")
+    return _objective_value(scores, _weight_rows(model, LabelAgg(aggregator, costs)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +265,11 @@ class AucReport:
 
 
 def auc_report(scores: TableScorer | np.ndarray, model) -> AucReport:
-    per_label = _per_label_auc(scores, model)
+    if isinstance(model, SampledLabels):
+        per_label = _label_aucs(scores, model.labels)
+    else:
+        sums, pairs = _pair_sums(scores, *_weight_rows(model, LossAgg((1.0,) * model.K))[:2])
+        per_label = sums / pairs
     diff = float(abs(per_label[0] - per_label[1])) if per_label.shape[0] == 2 else None
     return AucReport(per_label=per_label, diff=diff, min=float(per_label.min()))
 
@@ -286,38 +297,23 @@ def pareto_front(candidates) -> list[int]:
 
 
 def population_pair_weights(model, objective) -> tuple[np.ndarray, float]:
-    """Pair-weight matrix W and normalizer Z for a population objective.
+    """Pair-weight matrix W and normalizer Z for a population objective: the _pair_matrix of its _weight_rows."""
+    return _pair_matrix(_weight_rows(model, objective))
 
-    The objective value of a score vector s is (W * H(s)).sum() / Z, with
-    H over all ordered pairs including i = j. W = u v^T for the weight
-    columns the AUC kernel sums over: eta a_k / (n^2 pi_k (1 - pi_k)) and
-    1 - eta per label, or the aggregate law and its cost-weighted lower
-    levels. This single quadratic form is what the exhaustive weak-order
-    maximizer optimizes. Raises TooLarge before building it if its n^2
-    cells pass the cell cap.
+
+def _pair_matrix(rows) -> tuple[np.ndarray, float]:
+    """W and Z from weight rows (u, v, a): the objective at scores s is (W * H(s)).sum() / Z,
+    with H over all ordered pairs including i = j.
+
+    W = sum_l c_l u_l v_l^T, with c_l = a_l / (sum u_l * sum v_l) and Z = 1
+    given row weights a, else c_l = 1 and Z = W.sum(). Only the exhaustive
+    oracle's subset DP reads W. Raises TooLarge before building it if its
+    n^2 cells pass the cell cap.
     """
-    if not isinstance(model, (EtaTable, JointLabelModel)):
-        raise TypeError("population weights need a probability model")
-    _require_cells(model.n * model.n, f"the pair-weight matrix of {model.n} instances")
-    if isinstance(objective, (PerLabel, LossAgg)):
-        if isinstance(objective, PerLabel):
-            labels, a = [objective.k], np.ones(1)
-        else:
-            labels, a = list(range(model.K)), np.asarray(objective.weights)
-            if a.shape[0] != model.K:
-                raise ValueError("weight count must match K")
-        eta = (model.marginal_eta() if isinstance(model, JointLabelModel) else model).eta[:, labels]
-        pi = eta.mean(axis=0)
-        bad = np.flatnonzero((pi <= 0.0) | (pi >= 1.0))
-        if bad.size:
-            raise DegenerateLabel(f"label {labels[bad[0]]} has prior {pi[bad[0]]}")
-        n = model.n
-        return (eta * (a / (pi * (1.0 - pi) * n * n))) @ (1.0 - eta).T, 1.0
-    if isinstance(objective, LabelAgg):
-        probs = aggregate_distribution(model, objective.aggregator).probs
-        w = probs @ _cost_lower(probs, objective.costs).T
-        total = w.sum()
-        if total == 0.0:
-            raise DegenerateLabel("aggregate label is degenerate under these costs")
-        return w, float(total)
-    raise TypeError(f"unsupported objective {objective!r}")
+    u, v, a = rows
+    n = u.shape[1]
+    _require_cells(n * n, f"the pair-weight matrix of {n} instances")
+    if a is None:
+        w = u.T @ v
+        return w, float(w.sum())
+    return (u.T * (a / (u.sum(axis=1) * v.sum(axis=1)))) @ v, 1.0

@@ -13,6 +13,8 @@ objective over items T, is the maximum over nonempty top blocks B of T of
 f(T - B) + W(B -> T - B) + W(B, B) / 2, which costs O(3^n). Argmax ties
 (equal floats) go to the top block with the smallest bitmask, item i being
 bit i; the winning order is rebuilt from these choices, top block first.
+Only the DP reads the dense pair weights W; the maximizer and any scorer
+under test are then valued through the metrics pair kernel on dense ranks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .core import EtaTable, JointLabelModel, SampledLabels, TableScorer
 from .errors import BudgetExceeded, DegenerateLabel, TooLarge
-from .metrics import _checked_scores, h_matrix, population_pair_weights
+from .metrics import _checked_scores, _objective_value, _pair_matrix, _weight_rows
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -55,7 +57,7 @@ def _require_exhaustive(n: int) -> None:
 
 
 def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[TableScorer, float]:
-    """Exact maximizer of sum_ij W_ij H(s_i - s_j) / Z over all scorers."""
+    """Exact maximizer of sum_ij W_ij H(s_i - s_j) / Z over all scorers, and the DP's value of it."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("need a square weight matrix")
@@ -90,24 +92,30 @@ def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[Ta
     scores = np.zeros(n)
     for level, block in enumerate(reversed(order)):
         scores[members[block]] = level
-    # re-evaluate through the shared matrix path so values are comparable
-    # bit-for-bit with any other scorer evaluated the same way
-    value = float((w * h_matrix(scores)).sum() / normalizer)
-    return TableScorer(scores), value
+    return TableScorer(scores), float(best[-1] / normalizer)
 
 
-def _exhaustive_pair_weights(model, objective) -> tuple[np.ndarray, float]:
-    """population_pair_weights(model, objective), raising TooLarge first, before
-    any n x n allocation, if the model's n exceeds the exhaustive limit."""
+def _dense_value(scores, rows) -> float:
+    """An objective's value from its weight rows, through the pair kernel on the
+    scores' dense ranks: equal weak orders give equal ranks, so equal bits."""
+    ranks = np.unique(_checked_scores(scores, rows[0].shape[1]), return_inverse=True)[1]
+    return _objective_value(ranks, rows)
+
+
+def _best_order(model, objective) -> tuple[TableScorer, float, tuple]:
+    """The subset DP's maximizer of a population objective, its _dense_value
+    and the objective's weight rows. Raises TooLarge first, before any n x n
+    allocation, if the model's n exceeds the exhaustive limit."""
     if isinstance(model, (EtaTable, JointLabelModel)):
         _require_exhaustive(model.n)
-    return population_pair_weights(model, objective)
+    rows = _weight_rows(model, objective)
+    best_scorer, _ = optimal_weak_order(*_pair_matrix(rows))
+    return best_scorer, _dense_value(best_scorer, rows), rows
 
 
 def optimal_weak_order_for(model, objective) -> tuple[TableScorer, float]:
     """Exact maximizer of a population objective on a finite instance set."""
-    w, z = _exhaustive_pair_weights(model, objective)
-    return optimal_weak_order(w, z)
+    return _best_order(model, objective)[:2]
 
 
 @dataclass(frozen=True)
@@ -120,10 +128,10 @@ class CertifyResult:
 
 
 def certify_bayes(scorer: TableScorer | np.ndarray, model, objective, tol: float = 1e-12) -> CertifyResult:
-    """Compare a scorer against the exhaustive weak-order maximizer."""
-    w, z = _exhaustive_pair_weights(model, objective)
-    best_scorer, best_value = optimal_weak_order(w, z)
-    scorer_value = float((w * h_matrix(_checked_scores(scorer, w.shape[0]))).sum() / z)
+    """Compare a scorer against the exhaustive weak-order maximizer; both values are
+    _dense_value's, so a scorer with the maximizer's weak order has gap exactly 0."""
+    best_scorer, best_value, rows = _best_order(model, objective)
+    scorer_value = _dense_value(scorer, rows)
     gap = best_value - scorer_value
     return CertifyResult(
         optimal=gap <= tol,

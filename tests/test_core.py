@@ -17,6 +17,7 @@ from rankagg import (
     LabelAgg,
     Logistic,
     LossAgg,
+    PerLabel,
     PriorVector,
     SampledLabels,
     Sum,
@@ -38,7 +39,8 @@ from rankagg import (
     surrogate_objective,
 )
 from rankagg.dataio import read_dataset, write_dataset
-from rankagg.metrics import h_matrix, population_pair_weights
+from rankagg.metrics import population_pair_weights
+from conftest import h_matrix
 
 eta_tables = arrays(
     np.float64,
@@ -190,6 +192,33 @@ def test_eta_table_and_its_product_table_give_the_same_results(entry):
     np.testing.assert_allclose(independent, explicit, rtol=0.0, atol=1e-12)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 3)), elements=st.sampled_from([0.2, 0.5, 0.8])),
+    st.sampled_from(["per_label", "loss_agg", "label_agg_sum", "label_agg_weighted"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_equal_weak_orders_certify_to_exactly_zero(eta, kind, seed):
+    # few distinct eta values, so the maximizer's weak order often ties rows
+    rng = np.random.default_rng(seed)
+    K = eta.shape[1]
+    objective = {
+        "per_label": PerLabel(int(rng.integers(K))),
+        "loss_agg": LossAgg(tuple(rng.choice([0.5, 1.0, 2.0], K))),
+        "label_agg_sum": LabelAgg(Sum(), CostMatrix.absdiff(K + 1)),
+        "label_agg_weighted": LabelAgg(WeightedSum(tuple(rng.choice([0.5, 1.0, 1.5], K))), CostMatrix.uniform(2**K)),
+    }[kind]
+    independent = EtaTable(eta)
+    for model in (independent, JointLabelModel(_product_table(independent))):
+        best, _ = optimal_weak_order_for(model, objective)
+        levels = best.values.astype(int)
+        # a random strictly increasing map of the levels keeps the weak order and its ties
+        remapped = np.cumsum(rng.uniform(0.01, 5.0, levels.max() + 1))[levels] - rng.uniform(0.0, 10.0)
+        result = certify_bayes(remapped, model, objective)
+        assert result.gap == 0.0 and result.best_value == result.scorer_value
+        assert result.optimal
+
+
 @settings(deadline=None)
 @given(eta_tables)
 def test_aggregate_distribution_rows_are_probability_vectors(eta):
@@ -222,8 +251,8 @@ def test_product_distribution_is_all_ones_probability():
 def test_weighted_sum_labels_map_to_dense_ordinals():
     labels = SampledLabels(np.array([[1, 0], [0, 1], [1, 1]]))
     ordinal = aggregate_labels(labels, WeightedSum((2.0, 1.0)))
-    # raw values (2, 1, 3) rank to (1, 0, 2)
-    assert ordinal.tolist() == [1, 0, 2]
+    # raw values (2, 1, 3) index the full alphabet (0, 1, 2, 3), sum 0 included though no row has it
+    assert ordinal.tolist() == [2, 1, 3]
 
 
 def test_weighted_sum_labels_group_sums_equal_to_12_decimals():
@@ -235,7 +264,8 @@ def test_weighted_sum_labels_group_sums_equal_to_12_decimals():
     aucs, losses = [], []
     for w in (weights, 10.0 * weights):
         aggregator = WeightedSum(tuple(w))
-        assert aggregate_labels(labels, aggregator).tolist() == [1, 1, 0, 2]
+        # indices among the seven values 0, 0.1, ..., 0.6 (times 10 for the second set)
+        assert aggregate_labels(labels, aggregator).tolist() == [3, 3, 0, 6]
         aucs.append(label_agg_auc(scores, labels, aggregator, costs))
         losses.append(surrogate_objective(scores, None, labels, LabelAgg(aggregator, costs), Logistic()))
     assert aucs[0] == aucs[1] == 1.0
@@ -460,7 +490,11 @@ def test_one_byte_labels_give_the_int64_bits(n, K, rate, dtype, order, seed):
     assert stored.dtype == np.int8 and stored.flags.c_contiguous and not stored.flags.writeable
     assert stored.tolist() == ref.tolist()
     alphas = rng.integers(1, 4, K) + rng.choice([0.0, 0.5, 0.25], K)
-    _, ordinal = np.unique(np.round(ref @ alphas, 12), return_inverse=True)
+    # the weights are multiples of 1/4, so every sum is exact: index each row among all reachable sums
+    reachable = {0.0}
+    for alpha in alphas:
+        reachable |= {x + alpha for x in reachable}
+    ordinal = np.searchsorted(sorted(reachable), ref @ alphas)
     for aggregator, want in [(Sum(), ref.sum(axis=1)), (Product(), ref.prod(axis=1)), (WeightedSum(alphas), ordinal)]:
         got = aggregate_labels(labels, aggregator)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

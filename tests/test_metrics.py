@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -32,7 +32,7 @@ from rankagg import (
     pareto_front,
 )
 from rankagg import metrics
-from rankagg.metrics import h_matrix
+from conftest import h_matrix
 
 
 def _binary_labels(rng, n):
@@ -91,6 +91,30 @@ def test_label_agg_auc_with_one_label_is_bipartite():
     labels = SampledLabels(y[:, None])
     got = label_agg_auc(scores, labels, Sum(), CostMatrix.uniform(2))
     assert got == bipartite_auc_empirical(scores, y)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    arrays(np.int8, st.tuples(st.integers(2, 10), st.integers(1, 4)), elements=st.integers(0, 1)),
+    st.lists(st.sampled_from([0.1, 0.3, 0.5, 1.0, 2.0, 3.0]), min_size=4, max_size=4),
+    st.sampled_from(["absdiff", "uniform"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int8), [1.0, 2.0, 1.0, 1.0], "absdiff", 0)
+def test_sampled_weighted_sum_labels_read_the_population_alphabet(labels, alphas, kind, seed):
+    # 0/1 labels are a deterministic eta, whose aggregate law is one-hot on the
+    # full lattice, so both label models must read the same pair costs
+    aggregator = WeightedSum(tuple(alphas[: labels.shape[1]]))
+    costs = getattr(CostMatrix, kind)(aggregator.values().shape[0])
+    scores = np.random.default_rng(seed).integers(0, 4, labels.shape[0]).astype(float)
+    models = (SampledLabels(labels), EtaTable(labels.astype(float)))
+    if np.unique(np.round(labels @ np.array(aggregator.alphas), 12)).size < 2:
+        for model in models:
+            with pytest.raises(DegenerateLabel):
+                label_agg_auc(scores, model, aggregator, costs)
+        return
+    sampled, population = (label_agg_auc(scores, model, aggregator, costs) for model in models)
+    _close(sampled, population)
 
 
 # few distinct values so ties (including among infinities) are common

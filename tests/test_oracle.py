@@ -30,7 +30,7 @@ from rankagg import (
     optimal_weak_order,
     optimal_weak_order_for,
 )
-from rankagg.metrics import h_matrix, pareto_front, population_pair_weights
+from rankagg.metrics import pareto_front, population_pair_weights
 from rankagg.oracle import (
     MAX_EXHAUSTIVE_N,
     OracleScan,
@@ -41,6 +41,7 @@ from rankagg.oracle import (
     index_subset,
     scan_hypotheses,
 )
+from conftest import h_matrix
 
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
 
