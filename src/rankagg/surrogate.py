@@ -4,6 +4,12 @@ Every objective family reduces to groups of (positive, negative) index
 pairs with a group coefficient; the loss is the coefficient-weighted mean
 of phi over each group's pair cross product. Gradients flow through the
 per-instance scores into Linear or MLP parameters analytically.
+
+The pair blocks (z, e = exp(-|z|), phi and phi') live in one grow-only
+scratch set that _pair_groups hands out with the groups, so they are reused
+across groups and epochs: train builds its groups, and so its scratch, once
+per run, and the one-shot surrogate_objective and surrogate_gradient build
+theirs per call. A scratch set belongs to one caller at a time.
 """
 
 from __future__ import annotations
@@ -111,14 +117,18 @@ class Hinge:
 SurrogateKind = Logistic | Hinge
 
 
-def _pair_groups(labels: SampledLabels, objective) -> tuple[list[np.ndarray], list[tuple[int, int, float]]]:
-    """Decompose an objective into row sets and (pos set, neg set, coefficient) groups.
+def _pair_groups(
+    labels: SampledLabels, objective
+) -> tuple[list[np.ndarray], list[tuple[int, int, float]], list[np.ndarray]]:
+    """Decompose an objective into row sets, (pos set, neg set, coefficient) groups and a scratch set.
 
     The surrogate loss is sum_g coeff_g * mean over g's pair cross product
     of phi(f_pos - f_neg). Groups name their sets by index, so a set that
-    several groups share is listed once.
+    several groups share is listed once. The scratch set starts empty; see
+    _scratch_bufs.
     """
     lab = labels.labels
+    scratch = [np.empty(0) for _ in range(4)]
 
     def binary_group(column: np.ndarray, what: str) -> list[np.ndarray]:
         pos = np.flatnonzero(column == 1)
@@ -128,14 +138,14 @@ def _pair_groups(labels: SampledLabels, objective) -> tuple[list[np.ndarray], li
         return [pos, neg]
 
     if isinstance(objective, PerLabel):
-        return binary_group(lab[:, objective.k], f"label {objective.k}"), [(0, 1, 1.0)]
+        return binary_group(lab[:, objective.k], f"label {objective.k}"), [(0, 1, 1.0)], scratch
     if isinstance(objective, LossAgg):
         if len(objective.weights) != labels.K:
             raise ValueError("weight count must match K")
         sides = []
         for k in range(labels.K):
             sides += binary_group(lab[:, k], f"label {k}")
-        return sides, [(2 * k, 2 * k + 1, float(a_k)) for k, a_k in enumerate(objective.weights)]
+        return sides, [(2 * k, 2 * k + 1, float(a_k)) for k, a_k in enumerate(objective.weights)], scratch
     if isinstance(objective, LabelAgg):
         ordinal = aggregate_labels(labels, objective.aggregator)
         levels = int(ordinal.max()) + 1
@@ -151,7 +161,7 @@ def _pair_groups(labels: SampledLabels, objective) -> tuple[list[np.ndarray], li
         total = sum(mass for _, _, mass in raw)
         if total == 0.0:
             raise DegenerateLabel("no discordant pair carries positive cost")
-        return by_level, [(m, mp, mass / total) for m, mp, mass in raw]
+        return by_level, [(m, mp, mass / total) for m, mp, mass in raw], scratch
     raise TypeError(f"unsupported objective {objective!r}")
 
 
@@ -165,6 +175,17 @@ def _distinct_side(values: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.
     counts = np.bincount(inv, minlength=values.size)
     present = counts > 0
     return values[present], counts[present].astype(float), (np.cumsum(present) - 1)[inv]
+
+
+def _scratch_bufs(scratch: list[np.ndarray], cells: int) -> list[np.ndarray]:
+    """The scratch set's four flat float buffers (z, e, phi, phi'), each regrown to cells if shorter.
+
+    The buffers keep their size between calls, so a call that needs no more
+    cells than an earlier one allocates nothing and faults no page in.
+    """
+    if scratch[0].size < cells:
+        scratch[:] = [np.empty(cells) for _ in range(4)]
+    return scratch
 
 
 def _block_rows(n_pos: int, n_neg: int) -> int:
@@ -212,17 +233,26 @@ def _group_loss_grad(pos, neg, kind, want_grad, want_loss, grad_scores, coeff, b
     return scale * total
 
 
-def _sampled_loss_grad(scores, pos, neg, kind, want_grad, want_loss, grad_scores, coeff, m, rng):
-    """Unbiased with-replacement pair sample of size m; the loss is 0 without want_loss."""
+def _sampled_loss_grad(scores, pos, neg, kind, want_grad, want_loss, grad_scores, coeff, m, rng, bufs):
+    """Unbiased with-replacement pair sample of size m; the loss is 0 without want_loss.
+
+    bufs is as for _group_loss_grad, with at least m cells each.
+    """
     i = rng.choice(pos, m)
     j = rng.choice(neg, m)
-    z = scores[i] - scores[j]
-    phi, dphi = kind.phi_dphi(z) if want_loss else (None, kind.dphi(z))
+    z, e, phi, dphi = (buf[:m] for buf in bufs)
+    # mode="clip" gathers straight into out (mode="raise" gathers into a copy); i and j are in range
+    np.take(scores, i, out=z, mode="clip")
+    z -= np.take(scores, j, out=e, mode="clip")
+    if want_loss:
+        kind.phi_dphi(z, out=(e, phi, dphi))
+    else:
+        kind.dphi(z, out=(e, dphi))
     if want_grad:
         # sampled rows repeat, so their terms are summed by bincount
-        d = dphi * (coeff / m)
+        dphi *= coeff / m
         n = grad_scores.size
-        grad_scores += np.bincount(i, weights=d, minlength=n) - np.bincount(j, weights=d, minlength=n)
+        grad_scores += np.bincount(i, weights=dphi, minlength=n) - np.bincount(j, weights=dphi, minlength=n)
     return coeff * float(phi.mean()) if want_loss else 0.0
 
 
@@ -230,21 +260,25 @@ def _loss_and_score_grad(scores, groups, kind, want_grad, budget=None, rng=None,
     """Loss and d loss / d scores over _pair_groups' groups: exact, or sampled over budget pairs.
 
     Without want_loss phi itself is never evaluated, and the loss is None.
+    The pair blocks come from the groups' scratch set.
     """
-    sets, pairs = groups
+    sets, pairs, scratch = groups
     grad_scores = np.zeros(scores.shape[0]) if want_grad else None
     n_pairs = sum(sets[i].size * sets[j].size for i, j, _ in pairs)
     loss = 0.0
     if budget is not None and n_pairs > budget:
-        for i, j, coeff in pairs:
-            m = max(1, int(round(budget * sets[i].size * sets[j].size / n_pairs)))
-            loss += _sampled_loss_grad(scores, sets[i], sets[j], kind, want_grad, want_loss, grad_scores, coeff, m, rng)
+        sizes = [max(1, int(round(budget * sets[i].size * sets[j].size / n_pairs))) for i, j, _ in pairs]
+        bufs = _scratch_bufs(scratch, max(sizes))
+        for (i, j, coeff), m in zip(pairs, sizes):
+            loss += _sampled_loss_grad(
+                scores, sets[i], sets[j], kind, want_grad, want_loss, grad_scores, coeff, m, rng, bufs
+            )
         return (loss if want_loss else None), grad_scores
     # the epoch's one sort: every set's distinct scores are a subset of these
     values, inv = np.unique(scores, return_inverse=True)
     sides = [(rows, *_distinct_side(values, inv[rows])) for rows in sets]
     cells = max(_block_rows(sides[i][1].size, sides[j][1].size) * sides[j][1].size for i, j, _ in pairs)
-    bufs = [np.empty(cells) for _ in range(4)]
+    bufs = _scratch_bufs(scratch, cells)
     for i, j, coeff in pairs:
         loss += _group_loss_grad(sides[i], sides[j], kind, want_grad, want_loss, grad_scores, coeff, bufs)
     return (loss if want_loss else None), grad_scores

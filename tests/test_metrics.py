@@ -267,6 +267,31 @@ def test_degenerate_labels_raise():
         multipartite_auc(np.array([1.0, 2.0]), np.array([1, 1]), CostMatrix.uniform(2))
 
 
+_LEVEL_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 0.25, 1.0])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 5)), elements=_LEVEL_WEIGHTS),
+    st.integers(0, 1),
+    arrays(float, (6, 6), elements=st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])),
+)
+@example(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), 0, np.ones((6, 6)))  # one occupied level
+@example(np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]), 0, np.eye(6))  # discordant levels, zero costs
+@example(np.array([[5e-324, 0.0], [0.0, 1.0]]), 0, np.full((6, 6), 0.5))  # c * p rounds to 0
+def test_level_rows_degeneracy_verdict_is_the_columnwise_any(probs, extra, costs):
+    # reference: some level m has weight while some pair (m, m' < m) carries positive lower weight
+    size = max(2, probs.shape[1] + extra)
+    costs = CostMatrix(costs[:size, :size])
+    lower = probs @ np.tril(costs.costs[: probs.shape[1], : probs.shape[1]], -1).T
+    if (probs.any(axis=0) & lower.any(axis=0)).any():
+        u, v, a = metrics._level_rows(probs, costs)
+        assert u.tobytes() == probs.T.tobytes() and v.tobytes() == lower.T.tobytes() and a is None
+    else:
+        with pytest.raises(DegenerateLabel, match="no discordant pair"):
+            metrics._level_rows(probs, costs)
+
+
 def _indicator_aucs(s, y):
     """Pair sums and pair counts of the 0/1 label columns of y, from the weighted kernel on float indicators."""
     pos = np.ascontiguousarray(y.T, dtype=float)

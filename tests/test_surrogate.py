@@ -271,7 +271,7 @@ def _reference_phi_dphi(kind, z):
 
 def _reference_loss_and_score_grad(scores, groups, kind, chunk):
     """Reference full-pair kernel: np.unique on each group side, fresh arrays per block."""
-    sets, pairs = groups
+    sets, pairs, _ = groups
     grad_scores = np.zeros(scores.size)
     loss = 0.0
     for i, j, coeff in pairs:
@@ -360,6 +360,32 @@ def test_chunked_blocks_split_into_single_rows_and_a_partial_tail(kind_name, mon
         assert surrogate._block_rows(7, 5) == rows and (rows == 1 or 7 % rows)
         for objective in (PerLabel(0), LossAgg((1.0, 2.5))):
             _assert_kernel_matches_reference(scores, labels, objective, kind, chunk)
+
+
+@pytest.mark.parametrize("kind", [Logistic(), Hinge()])
+@pytest.mark.parametrize("chunk", [1 << 20, 7])  # one block per group, or several
+@pytest.mark.parametrize("budget", [None, 40])  # exact, or sampled pairs
+def test_a_reused_scratch_set_leaves_no_stale_cell_in_the_results(kind, chunk, budget, monkeypatch):
+    monkeypatch.setattr(surrogate, "_CHUNK_CELLS", chunk)
+    _, labels = _dataset(21, n=30)
+    spread = np.random.default_rng(3).standard_normal(30)
+    # one distinct value, then 30, then fewer again, each behind the cells the last call left
+    score_runs = (np.zeros(30), spread, spread.round())
+    for objective in _KERNEL_OBJECTIVES:
+        reused = _pair_groups(labels, objective)
+        stale = [np.full(1024, np.nan) for _ in range(4)]  # longer than any block of 30 rows
+        reused[2][:] = stale
+        for scores in score_runs:
+            for want_loss in (True, False):
+                got, want = (
+                    _loss_and_score_grad(
+                        scores, groups, kind, True, budget=budget, rng=np.random.default_rng(5), want_loss=want_loss
+                    )
+                    for groups in (reused, _pair_groups(labels, objective))
+                )
+                assert got[0] == want[0] and (got[0] is None) == (not want_loss)
+                assert got[1].tobytes() == want[1].tobytes()
+        assert all(buf is old for buf, old in zip(reused[2], stale))  # never regrown: every call read the NaN set
 
 
 def test_each_full_pair_call_sorts_the_scores_once(monkeypatch):
