@@ -392,7 +392,9 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=REPO / "src", help="source tree holding the rankagg package")
     parser.add_argument("--out", type=Path, required=True, help="BENCH JSON file to update")
     parser.add_argument("--label", required=True, help="key of this run under 'runs'")
-    parser.add_argument("--cases", nargs="+", metavar="NAME", help="run only these cases (default: all), in the usual order")
+    parser.add_argument(
+        "--cases", nargs="+", metavar="NAME", help="run only these cases (default: all), in the usual order"
+    )
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
@@ -407,10 +409,10 @@ def main(argv=None) -> int:
                     "cpu_model": _cpu_model(), "cpu_count": os.cpu_count()},
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
     }
-    if args.cases is not None:
-        unknown = sorted(set(args.cases) - set(_cases({})))
-        if unknown:
-            parser.error(f"unknown cases {', '.join(unknown)}; known: {', '.join(_cases({}))}")
+    known = list(_cases({}))
+    unknown = sorted(set(args.cases or ()) - set(known))
+    if unknown:
+        parser.error(f"unknown cases {', '.join(unknown)}; known: {', '.join(known)}")
     record["cases"], record["memory"] = measure(args.cases)
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     data["runs"][args.label] = record

@@ -267,12 +267,12 @@ def test_degenerate_labels_raise():
         multipartite_auc(np.array([1.0, 2.0]), np.array([1, 1]), CostMatrix.uniform(2))
 
 
-_LEVEL_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 0.25, 1.0])
-
-
 @settings(deadline=None, max_examples=300)
 @given(
-    arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 5)), elements=_LEVEL_WEIGHTS),
+    arrays(
+        float, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+        elements=st.sampled_from([0.0, 5e-324, 1e-300, 0.25, 1.0]),
+    ),
     st.integers(0, 1),
     arrays(float, (6, 6), elements=st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])),
 )
