@@ -314,11 +314,10 @@ def cmd_train(args):
             seed=trial_seed,
             hidden=hidden,
         )
-        scorer, trace = train(
-            inst, labs, config, eval_instances=instances, eval_labels=labels, per_epoch=args.trace_out is not None
-        )
+        scorer, trace = train(inst, labs, config, per_epoch=args.trace_out is not None)
         traces.append(trace)
-        report = trace[-1]["eval"]
+        # every trial is scored on the un-resampled rows, whatever it trained on
+        report = auc_report(scorer.scores(instances), labels)
         reports.append(report)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(

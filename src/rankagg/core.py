@@ -267,10 +267,6 @@ class CostMatrix:
         grid = np.arange(size)
         return cls(np.abs(grid[:, None] - grid[None, :]).astype(float))
 
-    @classmethod
-    def custom(cls, costs) -> "CostMatrix":
-        return cls(np.asarray(costs, dtype=float))
-
 
 class Scorer:
     """Maps instances to real scores. Subclasses implement scores()."""

@@ -49,6 +49,7 @@ __all__ = [
 
 MAX_EXHAUSTIVE_N = 12  # 3^12 = 531,441 (subset, top block) pairs
 DEFAULT_BUDGET = 10**7
+_CERTIFY_TOL = 1e-12  # certify_bayes calls a scorer optimal when its gap is at most this
 
 
 def _require_exhaustive(n: int) -> None:
@@ -56,8 +57,8 @@ def _require_exhaustive(n: int) -> None:
         raise TooLarge(f"{n} instances exceed the exhaustive limit {MAX_EXHAUSTIVE_N}")
 
 
-def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[TableScorer, float]:
-    """Exact maximizer of sum_ij W_ij H(s_i - s_j) / Z over all scorers, and the DP's value of it."""
+def optimal_weak_order(weights: np.ndarray) -> tuple[TableScorer, float]:
+    """Exact maximizer of sum_ij W_ij H(s_i - s_j) over all scorers, and the DP's value of it."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("need a square weight matrix")
@@ -92,7 +93,7 @@ def optimal_weak_order(weights: np.ndarray, normalizer: float = 1.0) -> tuple[Ta
     scores = np.zeros(n)
     for level, block in enumerate(reversed(order)):
         scores[members[block]] = level
-    return TableScorer(scores), float(best[-1] / normalizer)
+    return TableScorer(scores), float(best[-1])
 
 
 def _dense_value(scores, rows) -> float:
@@ -109,7 +110,7 @@ def _best_order(model, objective) -> tuple[TableScorer, float, tuple]:
     if isinstance(model, (EtaTable, JointLabelModel)):
         _require_exhaustive(model.n)
     rows = _weight_rows(model, objective)
-    best_scorer, _ = optimal_weak_order(*_pair_matrix(rows))
+    best_scorer, _ = optimal_weak_order(_pair_matrix(rows)[0])
     return best_scorer, _dense_value(best_scorer, rows), rows
 
 
@@ -127,14 +128,14 @@ class CertifyResult:
     best_scorer: TableScorer
 
 
-def certify_bayes(scorer: TableScorer | np.ndarray, model, objective, tol: float = 1e-12) -> CertifyResult:
+def certify_bayes(scorer: TableScorer | np.ndarray, model, objective) -> CertifyResult:
     """Compare a scorer against the exhaustive weak-order maximizer; both values are
     _dense_value's, so a scorer with the maximizer's weak order has gap exactly 0."""
     best_scorer, best_value, rows = _best_order(model, objective)
     scorer_value = _dense_value(scorer, rows)
     gap = best_value - scorer_value
     return CertifyResult(
-        optimal=gap <= tol,
+        optimal=gap <= _CERTIFY_TOL,
         gap=gap,
         best_value=best_value,
         scorer_value=scorer_value,

@@ -22,16 +22,14 @@ from .core import (
     InstanceSet,
     LabelAgg,
     LinearScorer,
-    LossAgg,
     MlpScorer,
-    PerLabel,
     SampledLabels,
     Scorer,
     TableScorer,
     aggregate_labels,
 )
 from .errors import DegenerateLabel, NotTrainable
-from .metrics import auc_report
+from .metrics import _label_weights, auc_report
 
 __all__ = [
     "Logistic",
@@ -46,6 +44,10 @@ __all__ = [
 ]
 
 _CHUNK_CELLS = 1 << 20
+# Adam's moment decay rates and denominator guard, at Kingma and Ba's defaults
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 def _exp_neg_abs(z: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -81,9 +83,6 @@ class Logistic:
         phi -= np.minimum(z, 0.0, out=dphi)
         return phi, _logistic_dphi(z, e, dphi)
 
-    def phi(self, z: np.ndarray) -> np.ndarray:
-        return self.phi_dphi(z)[0]
-
     def dphi(self, z: np.ndarray, out=None) -> np.ndarray:
         """phi' alone, bit for bit phi_dphi's; out, if given, is scratch for e, then phi'."""
         z = np.asarray(z, dtype=float)
@@ -102,9 +101,6 @@ class Hinge:
         np.subtract(1.0, z, out=phi)
         np.maximum(0.0, phi, out=phi)
         return phi, self.dphi(z, out=(None, dphi))
-
-    def phi(self, z: np.ndarray) -> np.ndarray:
-        return self.phi_dphi(z)[0]
 
     def dphi(self, z: np.ndarray, out=None) -> np.ndarray:
         """out, if given, is as for Logistic.dphi; its first array goes unused."""
@@ -125,27 +121,10 @@ def _pair_groups(
     The surrogate loss is sum_g coeff_g * mean over g's pair cross product
     of phi(f_pos - f_neg). Groups name their sets by index, so a set that
     several groups share is listed once. The scratch set starts empty; see
-    _scratch_bufs.
+    _scratch_bufs. PerLabel and LossAgg take their labels and checked
+    weights from metrics._label_weights.
     """
-    lab = labels.labels
     scratch = [np.empty(0) for _ in range(4)]
-
-    def binary_group(column: np.ndarray, what: str) -> list[np.ndarray]:
-        pos = np.flatnonzero(column == 1)
-        neg = np.flatnonzero(column == 0)
-        if pos.size == 0 or neg.size == 0:
-            raise DegenerateLabel(f"{what} has a single class")
-        return [pos, neg]
-
-    if isinstance(objective, PerLabel):
-        return binary_group(lab[:, objective.k], f"label {objective.k}"), [(0, 1, 1.0)], scratch
-    if isinstance(objective, LossAgg):
-        if len(objective.weights) != labels.K:
-            raise ValueError("weight count must match K")
-        sides = []
-        for k in range(labels.K):
-            sides += binary_group(lab[:, k], f"label {k}")
-        return sides, [(2 * k, 2 * k + 1, float(a_k)) for k, a_k in enumerate(objective.weights)], scratch
     if isinstance(objective, LabelAgg):
         ordinal = aggregate_labels(labels, objective.aggregator)
         levels = int(ordinal.max()) + 1
@@ -162,7 +141,15 @@ def _pair_groups(
         if total == 0.0:
             raise DegenerateLabel("no discordant pair carries positive cost")
         return by_level, [(m, mp, mass / total) for m, mp, mass in raw], scratch
-    raise TypeError(f"unsupported objective {objective!r}")
+    ks, a = _label_weights(objective, labels.K)
+    sides = []
+    for k in ks:
+        column = labels.labels[:, k]
+        pos, neg = np.flatnonzero(column == 1), np.flatnonzero(column == 0)
+        if pos.size == 0 or neg.size == 0:
+            raise DegenerateLabel(f"label {k} has a single class")
+        sides += [pos, neg]
+    return sides, [(2 * i, 2 * i + 1, float(a_i)) for i, a_i in enumerate(a)], scratch
 
 
 def _distinct_side(values: np.ndarray, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,23 +342,17 @@ def surrogate_gradient(scorer: Scorer, instances: InstanceSet, labels: SampledLa
 class TrainConfig:
     objective: object
     surrogate: SurrogateKind = field(default_factory=Logistic)
-    optimizer: str = "adam"  # "adam" or "sgd"
     lr: float = 0.01
     epochs: int = 100
     pair_budget: int = 250_000
     seed: int = 0
     hidden: tuple = ()  # empty for a linear scorer
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not 0 <= self.lr < np.inf:
             raise ValueError("learning rate must be finite and non-negative")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def init_scorer(d: int, hidden: tuple, seed: int) -> Scorer:
@@ -392,11 +373,9 @@ def train(
     instances: InstanceSet,
     labels: SampledLabels,
     config: TrainConfig,
-    eval_instances: InstanceSet | None = None,
-    eval_labels: SampledLabels | None = None,
     per_epoch: bool = True,
 ) -> tuple[Scorer, list[dict]]:
-    """Full-batch training, one step per epoch, deterministic per seed.
+    """Full-batch Adam training, one step per epoch, deterministic per seed.
 
     When the pair count exceeds the budget, each step draws a fresh seeded
     pair sample. With per_epoch (the default), the trace holds one row per
@@ -404,8 +383,6 @@ def train(
     AUCs after it. Without per_epoch, the trace holds the last step's row
     alone, with its loss and no training AUCs; earlier steps evaluate phi'
     but not phi. Parameters and the last loss are the same bits either way.
-    The eval AUCs, when eval data is given, are computed once, on the last
-    row only.
     """
     groups = _pair_groups(labels, config.objective)
     scorer = init_scorer(instances.d, config.hidden, config.seed)
@@ -421,21 +398,16 @@ def train(
             want_loss=per_epoch or epoch == config.epochs - 1,
         )
         grads = _backward(scorer, instances.features, grad_scores, acts)
-        if config.optimizer == "sgd":
-            params = [p - config.lr * g for p, g in zip(params, grads)]
-        else:
-            t = epoch + 1
-            for idx, g in enumerate(grads):
-                m_state[idx] = config.beta1 * m_state[idx] + (1 - config.beta1) * g
-                v_state[idx] = config.beta2 * v_state[idx] + (1 - config.beta2) * g * g
-                m_hat = m_state[idx] / (1 - config.beta1**t)
-                v_hat = v_state[idx] / (1 - config.beta2**t)
-                params[idx] = params[idx] - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        t = epoch + 1
+        for idx, g in enumerate(grads):
+            m_state[idx] = _ADAM_BETA1 * m_state[idx] + (1 - _ADAM_BETA1) * g
+            v_state[idx] = _ADAM_BETA2 * v_state[idx] + (1 - _ADAM_BETA2) * g * g
+            m_hat = m_state[idx] / (1 - _ADAM_BETA1**t)
+            v_hat = v_state[idx] / (1 - _ADAM_BETA2**t)
+            params[idx] = params[idx] - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         scorer = _rebuild(scorer, params)
         if per_epoch:
             trace.append({"epoch": epoch, "loss": loss, "train": auc_report(scorer.scores(instances), labels)})
     if not per_epoch:
         trace.append({"epoch": config.epochs - 1, "loss": loss})
-    if eval_instances is not None and eval_labels is not None:
-        trace[-1]["eval"] = auc_report(scorer.scores(eval_instances), eval_labels)
     return scorer, trace

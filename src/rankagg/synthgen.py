@@ -238,25 +238,18 @@ def gen_d3_training_pair(n: int, seed: int, tau: float) -> SynthData:
     return SynthData(InstanceSet(feats), EtaTable(eta), labels)
 
 
-def gen_conflicting_pair(
-    n: int,
-    seed: int,
-    tau_strong: float = 6.0,
-    tau_weak: float = 2.0,
-) -> SynthData:
+def gen_conflicting_pair(n: int, seed: int) -> SynthData:
     """Two axis-aligned logistic labels with unequal signal strength.
 
-    Label 1 follows x1 with a sharp sigmoid, label 2 follows x2 with a
-    shallow one, so a linear scorer must trade the two off. Reskewing
-    label 1 afterwards reproduces the strong-skewed-label versus
-    weak-balanced-label tension of the training comparisons.
+    Label 1 follows x1 with a sharp sigmoid (slope 6), label 2 follows x2
+    with a shallow one (slope 2), so a linear scorer must trade the two
+    off. Reskewing label 1 afterwards reproduces the strong-skewed-label
+    versus weak-balanced-label tension of the training comparisons.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     feats = _rng(seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (n, 2))
-    eta = np.column_stack(
-        [_sigmoid(tau_strong * feats[:, 0]), _sigmoid(tau_weak * feats[:, 1])]
-    )
+    eta = np.column_stack([_sigmoid(6.0 * feats[:, 0]), _sigmoid(2.0 * feats[:, 1])])
     labels = _sample_labels(eta, _rng(seed, _STREAM_LABELS).random(eta.shape))
     return SynthData(InstanceSet(feats), EtaTable(eta), labels)
 

@@ -494,7 +494,7 @@ def test_criterion_8_metric_cross_checks():
 
 def _fit(inst, labels, objective, seed):
     config = TrainConfig(
-        objective=objective, surrogate=Logistic(), optimizer="adam",
+        objective=objective, surrogate=Logistic(),
         lr=0.05, epochs=60, seed=seed,
     )
     scorer, _ = train(inst, labels, config)

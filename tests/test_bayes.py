@@ -93,7 +93,7 @@ def test_uniform_cost_k2_matches_multipartite_closed_form():
 def test_scale_condition():
     assert scale_condition_holds(CostMatrix.absdiff(4))  # w = 1, s_y = y
     assert scale_condition_holds(CostMatrix.uniform(2))
-    bad = CostMatrix.custom(
+    bad = CostMatrix(
         [[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 10, 0]]
     )
     assert not scale_condition_holds(bad)
@@ -183,7 +183,7 @@ def test_scale_condition_accepts_perturbations_within_tolerance():
 
 def test_multipartite_scorer_rejects_unfactorizable_large_alphabets():
     probs = np.full((2, 4), 0.25)
-    bad = CostMatrix.custom(
+    bad = CostMatrix(
         [[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 10, 0]]
     )
     with pytest.raises(InvalidCosts):

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import rankagg
-from rankagg import cli
+from rankagg import CostMatrix, LabelAgg, Sum, TrainConfig, auc_report, cli, train
 from rankagg.cli import main
-from rankagg.dataio import write_dataset
+from rankagg.dataio import read_dataset, write_dataset
 from rankagg.oracle import MAX_EXHAUSTIVE_N
-from rankagg.synthgen import gen_conflicting_pair
+from rankagg.synthgen import gen_conflicting_pair, resample_to_skew
 
 
 def _stable_bytes(path):
@@ -228,11 +228,15 @@ def test_trace_out_writes_one_line_per_trial_and_epoch_and_leaves_the_csv_alone(
     assert [line["loss"] for line in lines if line["epoch"] == 3] == final
 
 
-def test_train_objective_parsing_errors_exit_2_or_3(dataset_csv, tmp_path):
+def test_train_objective_parsing_errors_exit_2_or_3(dataset_csv, tmp_path, capsys):
     out = str(tmp_path / "o.csv")
     assert main(
         ["train", "--data", str(dataset_csv), "--out", out, "--objective", "nope"]
     ) == 3
+    assert main(
+        ["train", "--data", str(dataset_csv), "--out", out, "--objective", "lossagg:1,2,3"]
+    ) == 3
+    assert "3 weights for 2 labels" in capsys.readouterr().err
     assert main(
         ["train", "--data", str(tmp_path / "missing.csv"), "--out", out]
     ) == 3
@@ -268,6 +272,27 @@ def test_train_with_resampling_and_perlabel_objective(dataset_csv, tmp_path):
     )
     assert code == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_train_evaluates_each_trial_on_the_unresampled_rows(dataset_csv, tmp_path):
+    out = tmp_path / "r.csv"
+    args = ["--objective", "labelagg:absdiff", "--epochs", "6", "--lr", "0.05", "--seed", "5"]
+    assert main(["train", "--data", str(dataset_csv), "--out", str(out), "--resample-pi", "0:0.7",
+                 "--trials", "2", "--no-plot", *args]) == 0
+    with open(out, newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["trial"].isdigit()]
+    assert [row["trial"] for row in rows] == ["0", "1"]
+    instances, labels = read_dataset(dataset_csv)
+    for trial, row in enumerate(rows):
+        seed = 5 + trial
+        config = TrainConfig(
+            objective=LabelAgg(Sum(), CostMatrix.absdiff(3)), lr=0.05, epochs=6, seed=seed
+        )
+        scorer, _ = train(*resample_to_skew(instances, labels, 0, 0.7, seed), config, per_epoch=False)
+        report = auc_report(scorer.scores(instances), labels)
+        want = [*report.per_label.tolist(), report.diff, report.min]
+        got = [row[name] for name in ("auc_label1", "auc_label2", "diff_auc", "min_auc")]
+        assert got == [repr(v) for v in want]
 
 
 def test_oracle_reports_containments_and_writes_scatter(tmp_path, capsys):

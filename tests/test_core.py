@@ -372,9 +372,9 @@ def test_cost_matrix_constructors_and_validation():
     a = CostMatrix.absdiff(3)
     assert a.costs[2, 0] == 2.0 and a.costs[1, 0] == 1.0
     with pytest.raises(ValueError):
-        CostMatrix.custom(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        CostMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        CostMatrix.custom(np.ones((1, 1)))
+        CostMatrix(np.ones((1, 1)))
 
 
 def test_cost_matrix_rejects_infinite_costs():
@@ -385,7 +385,7 @@ def test_cost_matrix_rejects_infinite_costs():
         CostMatrix(c)
     # and a read one turned the multipartite AUC into NaN
     with pytest.raises(ValueError, match="finite"):
-        CostMatrix.custom([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        CostMatrix([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 1.0, 0.0]])
 
 
 def test_prior_vector_degenerate_label_raises():
