@@ -17,6 +17,9 @@ them in the order they run):
   defaults (seed 0), with each rho solved beforehand: ``sigmoid_sweep``
   builds each point's eta and labels (drawing the inputs once), then both
   sweep scorers and their ``auc_report``; seconds for all twelve;
+- ``loss_agg_scorer_n100000``: ``bayes.loss_agg_bayes_scorer`` of the eta
+  table of ``skew-sweep``'s inputs (seed 0) at tau=1, rho=0, its priors
+  the table's column means; seconds per call;
 - ``scale_condition_absdiff_m8``: ``bayes.scale_condition_holds`` on
   ``CostMatrix.absdiff(8)``; seconds per call;
 - ``surrogate_loss_grad_n600``: one exact logistic loss plus score gradient
@@ -255,12 +258,16 @@ def _sweep_cases(memory: dict) -> dict:
         memory[f"sweep_points_n{SWEEP_N}"] = {"traced_peak_bytes": peak, "bytes_per_instance": peak / SWEEP_N}
         return timings
 
+    def loss_agg_scorer():
+        eta = gen_sigmoid_pair(SigmoidSynthConfig(SWEEP_N, 1.0, 0.0, 0)).eta
+        return _timings(lambda: loss_agg_bayes_scorer(eta), number=100, repeats=REPEATS)
+
     def scale_condition():
         absdiff = CostMatrix.absdiff(8)
         return _timings(lambda: scale_condition_holds(absdiff), number=100, repeats=REPEATS)
 
     return {f"solve_rho_default_sweep_n{SWEEP_N}": solve_rho, f"sweep_points_n{SWEEP_N}": points,
-            "scale_condition_absdiff_m8": scale_condition}
+            f"loss_agg_scorer_n{SWEEP_N}": loss_agg_scorer, "scale_condition_absdiff_m8": scale_condition}
 
 
 def _oracle_cases() -> dict:

@@ -81,7 +81,9 @@ def _frozen_array(values, dtype=float, ndim=None, nan_name=None) -> np.ndarray:
     has the dtype is adopted, not copied: whoever hands it over gives up
     writing to it. Any other input is copied, so a caller's writable array or
     a view of one never aliases a frozen object. The C order fixes the bits
-    of axis reductions such as PriorVector.from_eta's column means.
+    of axis reductions: PriorVector.from_eta adds each column's entries in
+    row order, starting from 0.0, as numpy's column reduction of a C-ordered
+    table of two or more columns does.
     """
     adopt = (
         type(values) is np.ndarray
@@ -226,7 +228,20 @@ class PriorVector:
 
     @classmethod
     def from_eta(cls, eta: EtaTable) -> "PriorVector":
-        return cls(eta.eta.mean(axis=0))
+        """The column means of eta, bit for bit eta.eta.mean(axis=0).
+
+        numpy reduces a C-ordered table of K >= 2 columns row by row, one
+        K-element inner loop per row, adding each column's entries in row
+        order to 0.0. Accumulating each column makes the same additions in
+        the same order without that per-row loop; the final + 0.0 is the
+        reduction's start, which only turns an all -0.0 column's -0.0 into
+        0.0. numpy sums a single column pairwise, so K = 1 takes its mean.
+        """
+        table = eta.eta
+        if table.shape[1] == 1:
+            return cls(table.mean(axis=0))
+        sums = np.array([np.add.accumulate(column)[-1] for column in table.T]) + 0.0
+        return cls(sums / table.shape[0])
 
     def require_nondegenerate(self) -> np.ndarray:
         bad = np.flatnonzero((self.pi <= 0) | (self.pi >= 1))

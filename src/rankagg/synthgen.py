@@ -89,58 +89,85 @@ def _mean_sigmoid(rho: float, x: np.ndarray, tau: float, buf: np.ndarray) -> flo
     return float(buf.mean())
 
 
-# The replay's clearance margin, far above the rounding error of the mean.
-_CLEARANCE = 1e-12
+# The safety factor by which the replay's clearance margin exceeds twice
+# the mean's rounding-error bound (see _solve_rho).
+_SAFETY = 2.0
 
 
 def _solve_rho_for_pi2(feats: np.ndarray, tau: float, target: float) -> float:
-    """Invert mean sigmoid(tau * (x2 - rho)) = target by bisection (decreasing in rho).
+    """The label-2 shift rho at which mean eta2 = target; see _solve_rho."""
+    return _solve_rhos(feats, tau, (target,))[0]
+
+
+def _solve_rhos(feats: np.ndarray, tau: float, targets) -> list[float]:
+    """_solve_rho for each target, with one contiguous feature column and buffer, both freed on return."""
+    x = np.ascontiguousarray(feats[:, 1])
+    buf = np.empty_like(x)
+    return [_solve_rho(x, buf, tau, target) for target in targets]
+
+
+def _solve_rho(x: np.ndarray, buf: np.ndarray, tau: float, target: float) -> float:
+    """Invert mean sigmoid(tau * (x - rho)) = target by bisection (decreasing in rho).
 
     The result is that of the plain bisection on [-50, 50], bit for bit: its
-    steps are replayed, but most are decided without evaluating.
+    steps are replayed, but most are decided without evaluating. buf is
+    scratch of x's size.
 
     1. A few safeguarded Newton steps, slope -tau * mean(s (1 - s)), find an
-       approximate root r.
-    2. With delta = 4 M / |slope| for the last finite negative Newton slope
-       (M = _CLEARANCE = 1e-12), so that each side's mean sits about 4 M
-       from the target, or else delta = 1e-10 * max(1, |r|), a = r - delta
-       is a known lower bound if its computed mean exceeds target + M, and
-       b = r + delta a known upper bound if its computed mean is below
-       target - M. A side that does not clear stays unknown.
+       approximate root r. Newton stops once its step d is below
+       1e-12 * max(1, |r|), or once the error that quadratic convergence
+       predicts after the step, d^3 / d_prev^2 for the Newton step d_prev
+       before it, is below delta / 16: the step is then taken without the
+       evaluation that would confirm it.
+    2. With delta = 4 M / |slope| if the last Newton slope is finite and
+       negative, so that each side's mean sits about 4 M from the target,
+       or else delta = 1e-10 * max(1, |r|), a = r - delta is a known lower
+       bound if its computed mean exceeds target + M, and b = r + delta a
+       known upper bound if its computed mean is below target - M. A side
+       that does not clear stays unknown.
     3. The bisection is replayed: a step with mid <= a goes up and one with
        mid >= b goes down without evaluating; every other step evaluates as
        the plain bisection does.
 
     Why a decided step goes the way the plain one would: let F(rho) be the
     exact mean of the exact sigmoids at the float data, non-increasing in
-    rho, and e a bound on |computed - F| at any rho. Each term is in [0, 1]
-    and its four roundings (rho - x, the product by tau, 1 + exp, the
-    division; exp within a few ulp) move it by a few units of 2^-53, because
-    s (1 - s) |z| <= 0.23 damps the argument's rounding. numpy's pairwise
-    sum of n terms adds a relative error of about (log2(n) + 16) * 2^-53.
-    So e < 1e-14 even at n = 10^9, and M > 2e. For mid <= a, computed(mid)
-    >= F(mid) - e >= F(a) - e >= computed(a) - 2e > target, the plain
-    step's decision; mid >= b is symmetric. The fixed-point stop is kept:
-    each step is a function of (lo, hi) alone, so once one leaves the
-    bracket unchanged every later one would too.
+    rho, and e(n) a bound on |computed - F| at any rho for n = x.size, in
+    units of u = 2^-53. Each term is in [0, 1]; its four roundings (rho - x,
+    the product by tau, 1 + exp, the division) and exp's error (within 3
+    ulp) move it by at most 4 u, because s (1 - s) |z| <= 0.23 damps the
+    argument's rounding. numpy's pairwise sum adds terms in a tree of depth at most
+    log2(n) + 19 (8 interleaved runs of up to 16 terms per block of 128,
+    their 3 levels, up to 7 trailing terms, then halving), so the sum of
+    nonnegative terms is off by at most (log2(n) + 19) u times itself, and
+    the division by n adds u. So e(n) = (log2(n) + 24) u: 4.5e-15 at
+    n = 10^5 and 6.0e-15 at n = 10^9. The margin is M(n) = 2 * _SAFETY *
+    e(n), 1.8e-14 at n = 10^5, with a safety factor _SAFETY = 2 for the
+    stated exp accuracy and any reduction order that deepens the tree;
+    measured errors of the mean stay near 2 u. For mid <= a, computed(mid) >= F(mid) - e >= F(a) - e
+    >= computed(a) - 2e > target + M - 2e > target, the plain step's
+    decision; mid >= b is symmetric. The fixed-point stop is kept: each
+    step is a function of (lo, hi) alone, so once one leaves the bracket
+    unchanged every later one would too.
     """
-    x = np.ascontiguousarray(feats[:, 1])
-    buf = np.empty_like(x)
+    margin = 2.0 * _SAFETY * (np.log2(x.size) + 24.0) * 2.0**-53
     with np.errstate(over="ignore"):
-        lo, hi, r = -50.0, 50.0, 0.0
+        lo, hi, r, d_prev = -50.0, 50.0, 0.0, 0.0
         for _ in range(16):
             value = _mean_sigmoid(r, x, tau, buf)
             lo, hi = (r, hi) if value > target else (lo, r)
-            # mean s (1 - s) as mean s - mean s^2, with no second buffer
-            slope = -tau * (value - float(np.dot(buf, buf)) / x.size)
+            # mean s (1 - s) as mean s - mean s^2, squaring the sigmoids in place
+            buf *= buf
+            slope = -tau * (value - float(buf.mean()))
             step = r - (value - target) / slope if slope < 0.0 else np.nan
-            if abs(step - r) <= 1e-12 * max(1.0, abs(r)):
+            delta = 4.0 * margin / -slope if -np.inf < slope < 0.0 else 1e-10 * max(1.0, abs(r))
+            d = abs(step - r)
+            if d <= 1e-12 * max(1.0, abs(r)) or d * d * d <= delta / 16.0 * d_prev * d_prev:
                 r = step
                 break
-            r = step if lo < step < hi else 0.5 * (lo + hi)
-        delta = 4.0 * _CLEARANCE / -slope if -np.inf < slope < 0.0 else 1e-10 * max(1.0, abs(r))
-        a = r - delta if _mean_sigmoid(r - delta, x, tau, buf) > target + _CLEARANCE else -np.inf
-        b = r + delta if _mean_sigmoid(r + delta, x, tau, buf) < target - _CLEARANCE else np.inf
+            # a safeguarded bisection step resets the Newton step before it
+            r, d_prev = (step, d) if lo < step < hi else (0.5 * (lo + hi), 0.0)
+        a = r - delta if _mean_sigmoid(r - delta, x, tau, buf) > target + margin else -np.inf
+        b = r + delta if _mean_sigmoid(r + delta, x, tau, buf) < target - margin else np.inf
 
         lo, hi = -50.0, 50.0
         for _ in range(200):
@@ -207,7 +234,7 @@ def sigmoid_sweep(n: int, seed: int, taus, rhos=None, pi2=None) -> Iterator[tupl
         if rhos is not None:
             points = [(rho, None) for rho in rhos]
         else:
-            points = [(_solve_rho_for_pi2(feats, tau, target), target) for target in pi2]
+            points = list(zip(_solve_rhos(feats, tau, pi2), pi2))
         for rho, target in points:
             yield (tau, rho, target, *_sigmoid_pair_from_draws(feats, uniforms, tau, rho))
 

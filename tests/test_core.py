@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -394,6 +394,18 @@ def test_prior_vector_degenerate_label_raises():
         priors.require_nondegenerate()
     ok = PriorVector(np.array([0.5, 0.25]))
     np.testing.assert_allclose(ok.require_nondegenerate(), [0.5, 0.25])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3000), st.integers(1, 20), st.integers(0, 2**32 - 1), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+@example(n=3000, K=2, seed=0, zeros=0.1, ones=0.1)
+def test_priors_from_eta_are_the_column_means_bit_for_bit(n, K, seed, zeros, ones):
+    rng = np.random.default_rng(seed)
+    eta = rng.uniform(0.0, 1.0, (n, K))
+    eta[rng.random((n, K)) < zeros] = 0.0
+    eta[rng.random((n, K)) < ones] = 1.0
+    table = EtaTable(eta)
+    assert PriorVector.from_eta(table).pi.tobytes() == table.eta.mean(axis=0).tobytes()
 
 
 def test_table_scorer_rejects_nan_and_serves_values():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankagg import (
     DegenerateLabel,
@@ -163,7 +165,33 @@ def test_rho_bisection_matches_plain_and_scipy_references():
             assert rho == _bisect_rho(feats, 200.0, target, _sigmoid)
 
 
-def test_rho_replay_evaluates_at_most_40_times_per_default_sweep_point(monkeypatch):
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 4000),
+    st.floats(0.05, 200.0),
+    st.floats(0.01, 0.99),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 1, 2, 5, 40]),
+)
+@example(n=2, tau=200.0, target=0.5, seed=0, distinct=1)
+def test_rho_replay_matches_the_plain_bisection(n, tau, target, seed, distinct):
+    # distinct=None draws every feature afresh; otherwise the n features
+    # repeat that many values, which leaves flat stretches in the mean
+    rng = np.random.default_rng(seed)
+    pool = rng.uniform(-1.0, 1.0, n if distinct is None else distinct)
+    x2 = pool if distinct is None else pool[rng.integers(0, distinct, n)]
+    feats = np.column_stack([np.zeros(n), x2])
+    plain = _bisect_rho(feats, tau, target, _sigmoid)
+    try:
+        rho = _solve_rho_for_pi2(feats, tau, target)
+    except ValueError:
+        # no shift in [-50, 50] reaches the target: the plain bisection ran into an end
+        assert abs(plain) > 50.0 - 1e-9
+    else:
+        assert rho == plain
+
+
+def test_rho_replay_evaluates_at_most_32_times_per_default_sweep_point(monkeypatch):
     counts = []
     evaluate = synthgen._mean_sigmoid
 
@@ -177,4 +205,5 @@ def test_rho_replay_evaluates_at_most_40_times_per_default_sweep_point(monkeypat
         for target in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95):
             counts.append(0)
             assert _solve_rho_for_pi2(feats, tau, target) == _bisect_rho(feats, tau, target, _sigmoid)
-    assert max(counts) <= 40
+    assert max(counts) <= 32
+    assert sum(counts) <= 275
