@@ -135,19 +135,19 @@ def _solve_rho(x: np.ndarray, buf: np.ndarray, tau: float, target: float) -> flo
     units of u = 2^-53. Each term is in [0, 1]; its four roundings (rho - x,
     the product by tau, 1 + exp, the division) and exp's error (within 3
     ulp) move it by at most 4 u, because s (1 - s) |z| <= 0.23 damps the
-    argument's rounding. numpy's pairwise sum adds terms in a tree of depth at most
-    log2(n) + 19 (8 interleaved runs of up to 16 terms per block of 128,
-    their 3 levels, up to 7 trailing terms, then halving), so the sum of
-    nonnegative terms is off by at most (log2(n) + 19) u times itself, and
-    the division by n adds u. So e(n) = (log2(n) + 24) u: 4.5e-15 at
+    argument's rounding. numpy's pairwise sum adds terms in a tree of depth
+    at most log2(n) + 19 (8 interleaved runs of up to 16 terms per block of
+    128, their 3 levels, up to 7 trailing terms, then halving), so the sum
+    of nonnegative terms is off by at most (log2(n) + 19) u times itself,
+    and the division by n adds u. So e(n) = (log2(n) + 24) u: 4.5e-15 at
     n = 10^5 and 6.0e-15 at n = 10^9. The margin is M(n) = 2 * _SAFETY *
     e(n), 1.8e-14 at n = 10^5, with a safety factor _SAFETY = 2 for the
     stated exp accuracy and any reduction order that deepens the tree;
-    measured errors of the mean stay near 2 u. For mid <= a, computed(mid) >= F(mid) - e >= F(a) - e
-    >= computed(a) - 2e > target + M - 2e > target, the plain step's
-    decision; mid >= b is symmetric. The fixed-point stop is kept: each
-    step is a function of (lo, hi) alone, so once one leaves the bracket
-    unchanged every later one would too.
+    measured errors of the mean stay near 2 u. For mid <= a, computed(mid)
+    >= F(mid) - e >= F(a) - e >= computed(a) - 2e > target + M - 2e >
+    target, the plain step's decision; mid >= b is symmetric. The fixed-point stop is kept:
+    each step is a function of (lo, hi) alone, so once one leaves the
+    bracket unchanged every later one would too.
     """
     margin = 2.0 * _SAFETY * (np.log2(x.size) + 24.0) * 2.0**-53
     with np.errstate(over="ignore"):
