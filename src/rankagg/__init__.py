@@ -50,22 +50,19 @@ from .metrics import (
 )
 from .bayes import (
     alpha_vector,
-    dictatorship_analysis,
     label_agg_bayes_scorer_sum,
     label_agg_bayes_scorer_weighted,
     label_agg_uniform_cost_scorer_k2,
     loss_agg_bayes_scorer,
     multipartite_bayes_scorer,
-    partial_order_over_combos,
     product_agg_bayes_scorer,
 )
 from .oracle import certify_bayes, maximizer_sets, optimal_weak_order, optimal_weak_order_for
 from .bound import evaluate_bound, gap_bound, measure_gap
-from .surrogate import Hinge, Logistic, TrainConfig, surrogate_gradient, surrogate_objective, train
+from .surrogate import Logistic, TrainConfig, surrogate_gradient, surrogate_objective, train
 from .synthgen import (
     SigmoidSynthConfig,
     gen_conflicting_pair,
-    gen_d3_training_pair,
     gen_gaussian_bilevel,
     gen_sigmoid_pair,
     resample_to_skew,

@@ -1,4 +1,4 @@
-"""Closed-form optimal scorers and label-dictatorship diagnostics.
+"""Closed-form optimal scorers.
 
 Ratio-form scorers use a +inf sentinel when the denominator vanishes;
 the metrics module ranks +inf above every finite score and ties +inf
@@ -6,8 +6,6 @@ entries with each other.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +32,6 @@ __all__ = [
     "multipartite_bayes_scorer",
     "scale_condition_holds",
     "product_agg_bayes_scorer",
-    "DictatorshipReport",
-    "dictatorship_analysis",
-    "partial_order_over_combos",
 ]
 
 _SCALE_TOL = 1e-8
@@ -168,68 +163,3 @@ def product_agg_bayes_scorer(model: EtaTable | JointLabelModel) -> TableScorer:
     """Optimal scorer for the product-aggregated (AND) label: P(every label is 1)."""
     return TableScorer(aggregate_distribution(model, Product()).probs[:, 1])
 
-
-@dataclass(frozen=True)
-class DictatorshipReport:
-    """Which label's signal overrides the other's, if any."""
-
-    dictator: int | None
-    violations: tuple
-
-
-def dictatorship_analysis(alphas, eta: EtaTable | None = None) -> DictatorshipReport:
-    """Identify the dominating label for K=2 influence coefficients.
-
-    With deterministic eta also checks the implied constraint: every
-    instance positive on the dictator label scores above every instance
-    negative on it under the loss-agg scorer. Ties in alpha yield None.
-    """
-    alpha = np.asarray(alphas, dtype=float)
-    if alpha.shape[0] != 2:
-        raise ValueError("dictatorship analysis is defined for K=2")
-    if alpha[0] == alpha[1]:
-        return DictatorshipReport(dictator=None, violations=())
-    dictator = 0 if alpha[0] > alpha[1] else 1
-    violations = []
-    if eta is not None:
-        if not np.isin(eta.eta, (0.0, 1.0)).all():
-            raise ValueError("ordering check needs a deterministic eta table")
-        scores = eta.eta @ alpha / eta.K
-        pos = np.flatnonzero(eta.eta[:, dictator] == 1.0)
-        neg = np.flatnonzero(eta.eta[:, dictator] == 0.0)
-        # a pair violates when scores[i] <= scores[j], which NaN never does;
-        # only positives at most the top negative and negatives at least the
-        # bottom positive can take part, so the pairs are listed among those
-        lowest = np.fmin.reduce(scores[pos], initial=np.inf)
-        highest = np.fmax.reduce(scores[neg], initial=-np.inf)
-        if lowest <= highest:
-            pos, neg = pos[scores[pos] <= highest], neg[scores[neg] >= lowest]
-            i, j = np.nonzero(scores[pos, None] <= scores[None, neg])
-            violations = list(zip(pos[i].tolist(), neg[j].tolist()))
-    return DictatorshipReport(dictator=dictator, violations=tuple(violations))
-
-
-_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def partial_order_over_combos(method: str, alphas=None) -> frozenset:
-    """Strict-order pairs among the 4 deterministic K=2 label combos.
-
-    Returns pairs (lo, hi) meaning combo lo scores strictly below combo hi
-    under the named method's optimal scorer; methods: "lossagg" (needs
-    alphas), "labelagg_sum", "labelagg_product".
-    """
-    if method == "lossagg":
-        if alphas is None:
-            raise ValueError("lossagg needs alpha coefficients")
-        a = np.asarray(alphas, dtype=float)
-        value = {c: float(c[0] * a[0] + c[1] * a[1]) / 2.0 for c in _COMBOS}
-    elif method == "labelagg_sum":
-        value = {c: float(c[0] + c[1]) for c in _COMBOS}
-    elif method == "labelagg_product":
-        value = {c: float(c[0] * c[1]) for c in _COMBOS}
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return frozenset(
-        (lo, hi) for lo in _COMBOS for hi in _COMBOS if value[lo] < value[hi]
-    )

@@ -47,7 +47,7 @@ from .oracle import (
     maximizer_sets,
 )
 from .bound import evaluate_bound
-from .surrogate import Hinge, Logistic, TrainConfig, train
+from .surrogate import TrainConfig, train
 from .synthgen import gen_gaussian_bilevel, resample_to_skew, sigmoid_sweep
 
 __all__ = ["main"]
@@ -111,7 +111,6 @@ _OPTIONS = {
         "seed": _SEED,
         "labels": (str, "y0,y1", "comma list of label column names (default y0,y1)"),
         "objective": (str, "labelagg:absdiff", "label1 | label2 | lossagg:a1,a2 | labelagg:uniform | labelagg:absdiff"),
-        "surrogate": (str, "logistic", "logistic | hinge"),
         "model": (str, "linear", "linear | mlp:h1,h2,..."),
         "epochs": (_count, 100, None),
         "lr": (_learning_rate, 0.01, None),
@@ -179,13 +178,10 @@ def _merge(args: argparse.Namespace, options: dict) -> argparse.Namespace:
 # ---------------------------------------------------------------- skew-sweep
 
 
-_SWEEP_SCORERS = {"labelagg": label_agg_bayes_scorer_sum, "lossagg": loss_agg_bayes_scorer}
-
-
 def _sweep_point(tau, rho, pi2_target, eta, labels, seed):
     pi2_emp = float(labels.labels[:, 1].mean())
     rows = []
-    for method, build_scorer in _SWEEP_SCORERS.items():
+    for method, build_scorer in (("labelagg", label_agg_bayes_scorer_sum), ("lossagg", loss_agg_bayes_scorer)):
         # runtime_ms covers this method's scorer and AUC report only
         start = time.perf_counter()
         report = auc_report(build_scorer(eta).scores(), labels)
@@ -287,9 +283,6 @@ def cmd_train(args):
         raise ValueError(f"label columns {col_names} not all present in {available}") from None
     labels = SampledLabels(all_labels.labels[:, cols])
     objective = _parse_objective(args.objective, labels.K)
-    surrogate = {"logistic": Logistic(), "hinge": Hinge()}.get(args.surrogate)
-    if surrogate is None:
-        raise ValueError(f"unknown surrogate {args.surrogate!r}")
     hidden = _parse_model(args.model)
     resample = None
     if args.resample_pi:
@@ -307,7 +300,6 @@ def cmd_train(args):
             inst, labs = resample_to_skew(inst, labs, resample[0], resample[1], trial_seed)
         config = TrainConfig(
             objective=objective,
-            surrogate=surrogate,
             lr=args.lr,
             epochs=args.epochs,
             pair_budget=args.pair_budget,

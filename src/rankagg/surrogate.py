@@ -33,8 +33,6 @@ from .metrics import _label_weights, auc_report
 
 __all__ = [
     "Logistic",
-    "Hinge",
-    "SurrogateKind",
     "TrainConfig",
     "surrogate_objective",
     "surrogate_gradient",
@@ -88,29 +86,6 @@ class Logistic:
         z = np.asarray(z, dtype=float)
         e, dphi = out if out is not None else (np.empty_like(z), np.empty_like(z))
         return _logistic_dphi(z, _exp_neg_abs(z, e), dphi)
-
-
-@dataclass(frozen=True)
-class Hinge:
-    """phi(z) = max(0, 1 - z); subgradient 0 at the kink z = 1."""
-
-    def phi_dphi(self, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """out, if given, is as for Logistic.phi_dphi; its first array goes unused."""
-        z = np.asarray(z, dtype=float)
-        _, phi, dphi = out if out is not None else (None, np.empty_like(z), np.empty_like(z))
-        np.subtract(1.0, z, out=phi)
-        np.maximum(0.0, phi, out=phi)
-        return phi, self.dphi(z, out=(None, dphi))
-
-    def dphi(self, z: np.ndarray, out=None) -> np.ndarray:
-        """out, if given, is as for Logistic.dphi; its first array goes unused."""
-        z = np.asarray(z, dtype=float)
-        dphi = out[1] if out is not None else np.empty_like(z)
-        np.less(z, 1.0, out=dphi)
-        return np.negative(dphi, out=dphi)
-
-
-SurrogateKind = Logistic | Hinge
 
 
 def _pair_groups(
@@ -320,7 +295,7 @@ def _backward(scorer: Scorer, feats: np.ndarray, grad_scores: np.ndarray, acts) 
     return grads
 
 
-def surrogate_objective(scorer, instances: InstanceSet, labels: SampledLabels, objective, kind: SurrogateKind) -> float:
+def surrogate_objective(scorer, instances: InstanceSet, labels: SampledLabels, objective, kind: Logistic) -> float:
     """Exact surrogate loss (full pair enumeration)."""
     scores = scorer.scores(instances) if isinstance(scorer, Scorer) else np.asarray(scorer, dtype=float)
     groups = _pair_groups(labels, objective)
@@ -328,7 +303,7 @@ def surrogate_objective(scorer, instances: InstanceSet, labels: SampledLabels, o
     return loss
 
 
-def surrogate_gradient(scorer: Scorer, instances: InstanceSet, labels: SampledLabels, objective, kind: SurrogateKind) -> list[np.ndarray]:
+def surrogate_gradient(scorer: Scorer, instances: InstanceSet, labels: SampledLabels, objective, kind: Logistic) -> list[np.ndarray]:
     """Exact analytic gradient with respect to the scorer parameters."""
     if isinstance(scorer, TableScorer) or not isinstance(scorer, (LinearScorer, MlpScorer)):
         raise NotTrainable("only Linear and MLP scorers are trainable")
@@ -341,7 +316,7 @@ def surrogate_gradient(scorer: Scorer, instances: InstanceSet, labels: SampledLa
 @dataclass(frozen=True)
 class TrainConfig:
     objective: object
-    surrogate: SurrogateKind = field(default_factory=Logistic)
+    surrogate: Logistic = field(default_factory=Logistic)
     lr: float = 0.01
     epochs: int = 100
     pair_budget: int = 250_000

@@ -22,7 +22,6 @@ __all__ = [
     "gen_sigmoid_pair",
     "sigmoid_sweep",
     "gen_gaussian_bilevel",
-    "gen_d3_training_pair",
     "gen_conflicting_pair",
     "resample_to_skew",
 ]
@@ -252,17 +251,6 @@ def gen_gaussian_bilevel(n: int, seed: int) -> SynthData:
     feats = z @ a.T
     labels = (feats > 0.0).astype(np.int8)
     return SynthData(InstanceSet(feats), EtaTable(labels.astype(float)), SampledLabels(labels))
-
-
-def gen_d3_training_pair(n: int, seed: int, tau: float) -> SynthData:
-    """Two logistic labels with directions w1, w2 drawn uniform on [-1, 1]^2."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    w = _rng(seed, _STREAM_WEIGHTS).uniform(-1.0, 1.0, (2, 2))
-    feats = _rng(seed, _STREAM_FEATURES).uniform(-1.0, 1.0, (n, 2))
-    eta = _sigmoid(tau * (feats @ w.T))
-    labels = _sample_labels(eta, _rng(seed, _STREAM_LABELS).random(eta.shape))
-    return SynthData(InstanceSet(feats), EtaTable(eta), labels)
 
 
 def gen_conflicting_pair(n: int, seed: int) -> SynthData:

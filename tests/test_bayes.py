@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +14,11 @@ from rankagg import (
     Sum,
     aggregate_distribution,
     alpha_vector,
-    dictatorship_analysis,
     label_agg_bayes_scorer_sum,
     label_agg_bayes_scorer_weighted,
     label_agg_uniform_cost_scorer_k2,
     loss_agg_bayes_scorer,
     multipartite_bayes_scorer,
-    partial_order_over_combos,
     product_agg_bayes_scorer,
 )
 from rankagg.bayes import _SCALE_TOL, scale_condition_holds
@@ -207,79 +203,6 @@ def test_product_scorer_is_all_ones_probability():
     eta = EtaTable(np.array([[0.5, 0.8], [1.0, 1.0]]))
     vals = product_agg_bayes_scorer(eta).scores()
     assert vals == pytest.approx([0.4, 1.0])
-
-
-def test_dictatorship_analysis_direction_and_tie():
-    assert dictatorship_analysis([3.0, 1.0]).dictator == 0
-    assert dictatorship_analysis([1.0, 3.0]).dictator == 1
-    assert dictatorship_analysis([2.0, 2.0]).dictator is None
-
-
-def test_dictatorship_constraint_holds_on_deterministic_tables():
-    # the dictator label's positives always outrank its negatives
-    for table in itertools.product([0.0, 1.0], repeat=8):
-        eta = EtaTable(np.array(table).reshape(4, 2))
-        report = dictatorship_analysis([5.0, 1.0], eta=eta)
-        assert report.dictator == 0
-        assert report.violations == ()
-
-
-def _violations_by_double_loop(alphas, eta):
-    """Every (positive, negative) pair on the dictator label that the
-    loss-aggregation scores fail to order, checked one pair at a time."""
-    alpha = np.asarray(alphas, dtype=float)
-    if alpha[0] == alpha[1]:
-        return ()
-    dictator = 0 if alpha[0] > alpha[1] else 1
-    scores = eta.eta @ alpha / eta.K
-    violations = []
-    for i in np.flatnonzero(eta.eta[:, dictator] == 1.0):
-        for j in np.flatnonzero(eta.eta[:, dictator] == 0.0):
-            if scores[i] <= scores[j]:
-                violations.append((int(i), int(j)))
-    return tuple(violations)
-
-
-@settings(deadline=None)
-@given(
-    st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, np.inf, -np.inf, np.nan])), min_size=2, max_size=2),
-    arrays(np.float64, st.tuples(st.integers(1, 12), st.just(2)), elements=st.sampled_from([0.0, 1.0])),
-)
-def test_dictatorship_violations_match_the_double_loop(alphas, table):
-    eta = EtaTable(table)
-    with np.errstate(invalid="ignore"):
-        got = dictatorship_analysis(alphas, eta=eta).violations
-        assert got == _violations_by_double_loop(alphas, eta)
-    assert all(type(i) is int and type(j) is int for i, j in got)
-
-
-_ALL = [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def _chain(*levels):
-    pairs = set()
-    for i, low in enumerate(levels):
-        for high in levels[i + 1 :]:
-            pairs.update((lo, hi) for lo in low for hi in high)
-    return frozenset(pairs)
-
-
-def test_partial_orders_over_combos():
-    # loss aggregation totally orders the combos, either way around
-    assert partial_order_over_combos("lossagg", [3.0, 1.0]) == _chain(
-        [(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]
-    )
-    assert partial_order_over_combos("lossagg", [1.0, 3.0]) == _chain(
-        [(0, 0)], [(1, 0)], [(0, 1)], [(1, 1)]
-    )
-    # sum aggregation leaves the disagreeing combos incomparable
-    assert partial_order_over_combos("labelagg_sum") == _chain(
-        [(0, 0)], [(0, 1), (1, 0)], [(1, 1)]
-    )
-    # product aggregation only separates the all-ones combo
-    assert partial_order_over_combos("labelagg_product") == _chain(
-        [(0, 0), (0, 1), (1, 0)], [(1, 1)]
-    )
 
 
 def test_label_agg_weighted_scorer_validation():

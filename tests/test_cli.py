@@ -108,6 +108,24 @@ def test_skew_sweep_reruns_byte_identical(tmp_path):
     assert first == _stable_bytes(tmp_path / "b.csv")
 
 
+def test_skew_sweep_looks_its_scorers_up_at_each_point(tmp_path, monkeypatch):
+    # each point reads the scorers from the module, so a wrapper put there
+    # (a test's counter, or a tracer's span) sees every call
+    calls = {"labelagg": 0, "lossagg": 0}
+
+    def counting(method, build_scorer):
+        def wrapper(eta):
+            calls[method] += 1
+            return build_scorer(eta)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "label_agg_bayes_scorer_sum", counting("labelagg", cli.label_agg_bayes_scorer_sum))
+    monkeypatch.setattr(cli, "loss_agg_bayes_scorer", counting("lossagg", cli.loss_agg_bayes_scorer))
+    assert main(["skew-sweep", "--out", str(tmp_path / "s.csv"), "--n", "2000", "--pi2", "0.5,0.9", "--no-plot"]) == 0
+    assert calls == {"labelagg": 4, "lossagg": 4}  # 2 default taus x 2 targets
+
+
 def test_skew_sweep_holds_one_point_at_a_time(tmp_path):
     # The run keeps its draws (32 bytes per instance), builds one point at a
     # time (eta 16, its one-byte labels 2), scores it and reports its AUCs.
@@ -174,12 +192,19 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path):
     assert len(out2.read_text().splitlines()) == 5
 
 
-def test_unknown_config_key_exits_3(tmp_path, capsys):
+# train takes no surrogate key: logistic is its only pairwise surrogate
+@pytest.mark.parametrize(
+    "command, lines, key",
+    [("skew-sweep", "n=200\ntua=5\n", "tua"), ("train", "surrogate=logistic\n", "surrogate")],
+    ids=["skew-sweep", "train"],
+)
+def test_unknown_config_key_exits_3(command, lines, key, dataset_csv, tmp_path, capsys):
     config = tmp_path / "typo.cfg"
-    config.write_text("n=200\ntua=5\n")
+    config.write_text(lines)
     out = tmp_path / "o.csv"
-    assert main(["skew-sweep", "--out", str(out), "--config", str(config), "--no-plot"]) == 3
-    assert "tua" in capsys.readouterr().err
+    data = ["--data", str(dataset_csv)] if command == "train" else []
+    assert main([command, "--out", str(out), "--config", str(config), "--no-plot", *data]) == 3
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ from scipy.special import expit
 
 from rankagg import (
     CostMatrix,
-    Hinge,
     InstanceSet,
     LabelAgg,
     LinearScorer,
@@ -83,35 +82,20 @@ def test_logistic_gradients_match_finite_differences(objective, hidden):
         assert _max_rel_err(analytic, numeric) < 1e-5
 
 
-def test_hinge_gradients_away_from_the_kink():
-    inst, labels = _dataset(7)
-    rng = np.random.default_rng(8)
-    # keep every pair margin away from z = 1 where the subgradient jumps
-    for _ in range(20):
-        scorer = LinearScorer(weights=rng.standard_normal(inst.d), bias=0.0)
-        scores = scorer.scores(inst)
-        z = scores[:, None] - scores[None, :]
-        if np.min(np.abs(z - 1.0)) <= 1e-3:
-            continue
-        analytic = surrogate_gradient(scorer, inst, labels, PerLabel(0), Hinge())
-        numeric = _numeric_gradient(scorer, inst, labels, PerLabel(0), Hinge())
-        assert _max_rel_err(analytic, numeric) < 1e-5
+# dense phi and phi': the references the fused and distinct-pair evaluation must reproduce
+def _dense_phi(z):
+    return np.logaddexp(0.0, -z)
 
 
-# kind -> (surrogate, dense phi, dense phi'): the references the fused and
-# distinct-pair evaluation must reproduce
-_DENSE_KINDS = {
-    "logistic": (Logistic(), lambda z: np.logaddexp(0.0, -z), lambda z: -expit(-z)),
-    "hinge": (Hinge(), lambda z: np.maximum(0.0, 1.0 - z), lambda z: -(z < 1.0).astype(float)),
-}
+def _dense_dphi(z):
+    return -expit(-z)
 
 
 def test_fused_logistic_matches_logaddexp_and_expit():
     z = np.concatenate([np.linspace(-745.0, 745.0, 200_001), [0.0, -0.0, np.inf, -np.inf]])
     phi, dphi = Logistic().phi_dphi(z)
-    _, dense_phi, dense_dphi = _DENSE_KINDS["logistic"]
     tiny = np.finfo(float).tiny  # below it results are subnormal and carry fewer bits
-    for got, want in ((phi, dense_phi(z)), (dphi, dense_dphi(z))):
+    for got, want in ((phi, _dense_phi(z)), (dphi, _dense_dphi(z))):
         normal = np.abs(want) >= tiny
         np.testing.assert_allclose(got[normal], want[normal], rtol=1e-15, atol=0.0)
         assert np.all(np.abs(got[~normal]) < tiny)
@@ -140,13 +124,11 @@ def _dense_pair_weights(labels, objective):
     st.integers(1, 6),
     st.booleans(),
     st.booleans(),
-    st.sampled_from(sorted(_DENSE_KINDS)),
     st.sampled_from([0.0, 0.1, 1.0, 40.0]),
     st.integers(0, 3),
 )
-def test_distinct_score_pairs_match_the_dense_pair_block(seed, distinct, discrete, resampled, kind_name, scale, which):
-    # few distinct feature rows, so scores repeat within and across classes;
-    # integer features and weights also put hinge pairs exactly on the kink
+def test_distinct_score_pairs_match_the_dense_pair_block(seed, distinct, discrete, resampled, scale, which):
+    # few distinct feature rows, so scores repeat within and across classes
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 40))
     base = rng.integers(-2, 3, (distinct, 3)).astype(float) if discrete else rng.standard_normal((distinct, 3))
@@ -159,18 +141,17 @@ def test_distinct_score_pairs_match_the_dense_pair_block(seed, distinct, discret
     scorer = LinearScorer(weights=scale * weights, bias=0.3)
     inst, labs = InstanceSet(feats), SampledLabels(labels)
     objective = [PerLabel(0), LossAgg((1.0, 2.5)), LabelAgg(Sum(), CostMatrix.absdiff(3)), LabelAgg(Sum(), CostMatrix.uniform(3))][which]
-    kind, dense_phi, dense_dphi = _DENSE_KINDS[kind_name]
 
     w = _dense_pair_weights(labs, objective)
     s = scorer.scores(inst)
     z = s[:, None] - s[None, :]
-    d = w * dense_dphi(z)
+    d = w * _dense_dphi(z)
     grad_scores = d.sum(axis=1) - d.sum(axis=0)
-    want_loss = float((w * dense_phi(z)).sum())
+    want_loss = float((w * _dense_phi(z)).sum())
     want_grads = [feats.T @ grad_scores, np.array([grad_scores.sum()])]
 
-    loss = surrogate_objective(scorer, inst, labs, objective, kind)
-    grads = surrogate_gradient(scorer, inst, labs, objective, kind)
+    loss = surrogate_objective(scorer, inst, labs, objective, Logistic())
+    grads = surrogate_gradient(scorer, inst, labs, objective, Logistic())
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
     for got, want in zip(grads, want_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -180,7 +161,6 @@ def test_surrogates_upper_bound_the_misranking_indicator():
     z = np.linspace(-5, 5, 401)
     indicator = (z <= 0).astype(float)
     assert np.all(Logistic().phi_dphi(z)[0] / np.log(2.0) >= indicator - 1e-12)
-    assert np.all(Hinge().phi_dphi(z)[0] >= indicator - 1e-12)
 
 
 def test_loss_agg_with_single_active_weight_reduces_to_per_label():
@@ -250,15 +230,13 @@ def test_config_validation():
     assert TrainConfig(objective=PerLabel(0), lr=0.0).lr == 0.0
 
 
-def _reference_phi_dphi(kind, z):
+def _reference_phi_dphi(z):
     """phi and phi' as fresh arrays, by the formulas the in-place kernel reproduces bit for bit."""
-    if isinstance(kind, Logistic):
-        e = np.exp(-np.abs(z))
-        return np.maximum(-z, 0.0) + np.log1p(e), -np.where(z >= 0.0, e, 1.0) / (1.0 + e)
-    return np.maximum(0.0, 1.0 - z), -(z < 1.0).astype(float)
+    e = np.exp(-np.abs(z))
+    return np.maximum(-z, 0.0) + np.log1p(e), -np.where(z >= 0.0, e, 1.0) / (1.0 + e)
 
 
-def _reference_loss_and_score_grad(scores, groups, kind, chunk):
+def _reference_loss_and_score_grad(scores, groups, chunk):
     """Reference full-pair kernel: np.unique on each group side, fresh arrays per block."""
     sets, pairs, _ = groups
     grad_scores = np.zeros(scores.size)
@@ -274,7 +252,7 @@ def _reference_loss_and_score_grad(scores, groups, kind, chunk):
         g_neg = np.zeros(f_neg.size)
         for start in range(0, f_pos.size, rows):
             block = slice(start, start + rows)
-            phi, dphi = _reference_phi_dphi(kind, f_pos[block, None] - f_neg[None, :])
+            phi, dphi = _reference_phi_dphi(f_pos[block, None] - f_neg[None, :])
             total += float((phi * c_neg).sum(axis=1) @ c_pos[block])
             g_pos[block] = dphi @ c_neg
             g_neg -= c_pos[block] @ dphi
@@ -299,7 +277,7 @@ def _repeated_scores(seed):
     n = int(rng.integers(4, 60))
     distinct = int(rng.integers(1, n + 1))
     if rng.random() < 0.5:
-        pool = rng.integers(-2, 3, distinct).astype(float)  # hinge pairs on the kink z = 1
+        pool = rng.integers(-2, 3, distinct).astype(float)
     else:
         pool = rng.standard_normal(distinct) * rng.choice([1e-3, 1.0, 40.0])
     pool[rng.random(distinct) < 0.25] = 0.0
@@ -312,7 +290,7 @@ def _repeated_scores(seed):
 
 def _assert_kernel_matches_reference(scores, labels, objective, kind, chunk):
     groups = _pair_groups(labels, objective)
-    want_loss, want_grad = _reference_loss_and_score_grad(scores, groups, kind, chunk)
+    want_loss, want_grad = _reference_loss_and_score_grad(scores, groups, chunk)
     loss, grad_scores = _loss_and_score_grad(scores, groups, kind, want_grad=True)
     assert loss == want_loss
     assert grad_scores.tobytes() == want_grad.tobytes()
@@ -323,25 +301,23 @@ def _assert_kernel_matches_reference(scores, labels, objective, kind, chunk):
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from(range(len(_KERNEL_OBJECTIVES))),
-    st.sampled_from(sorted(_DENSE_KINDS)),
     st.sampled_from([1 << 20, 1, 2, 7, 16]),
 )
-def test_one_sort_kernel_matches_the_per_group_unique_kernel_bit_for_bit(seed, which, kind_name, chunk):
+def test_one_sort_kernel_matches_the_per_group_unique_kernel_bit_for_bit(seed, which, chunk):
     scores, labels = _repeated_scores(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surrogate, "_CHUNK_CELLS", chunk)
-        _assert_kernel_matches_reference(scores, labels, _KERNEL_OBJECTIVES[which], _DENSE_KINDS[kind_name][0], chunk)
+        _assert_kernel_matches_reference(scores, labels, _KERNEL_OBJECTIVES[which], Logistic(), chunk)
 
 
-@pytest.mark.parametrize("kind_name", sorted(_DENSE_KINDS))
-def test_chunked_blocks_split_into_single_rows_and_a_partial_tail(kind_name, monkeypatch):
+@pytest.mark.parametrize("kind", [Logistic()], ids=["logistic"])
+def test_chunked_blocks_split_into_single_rows_and_a_partial_tail(kind, monkeypatch):
     # label 0: 7 distinct positive and 5 distinct negative scores, a signed zero on each side
     pos = [0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 3.0, 5.0]
     neg = [-1.0, -0.0, 0.0, 0.25, 1.0, 1.0, -2.0]
     scores = np.array(pos + neg)
     labels = SampledLabels(np.column_stack([[1] * len(pos) + [0] * len(neg), np.arange(scores.size) % 2]))
     assert (np.unique(pos).size, np.unique(neg).size) == (7, 5)
-    kind = _DENSE_KINDS[kind_name][0]
     assert surrogate._block_rows(7, 5) == 7  # the default chunk holds the whole group
     for chunk, rows in ((4, 1), (15, 3), (30, 6)):
         monkeypatch.setattr(surrogate, "_CHUNK_CELLS", chunk)
@@ -351,7 +327,7 @@ def test_chunked_blocks_split_into_single_rows_and_a_partial_tail(kind_name, mon
             _assert_kernel_matches_reference(scores, labels, objective, kind, chunk)
 
 
-@pytest.mark.parametrize("kind", [Logistic(), Hinge()])
+@pytest.mark.parametrize("kind", [Logistic()])
 @pytest.mark.parametrize("chunk", [1 << 20, 7])  # one block per group, or several
 @pytest.mark.parametrize("budget", [None, 40])  # exact, or sampled pairs
 def test_a_reused_scratch_set_leaves_no_stale_cell_in_the_results(kind, chunk, budget, monkeypatch):
@@ -403,7 +379,7 @@ def test_each_full_pair_call_sorts_the_scores_once(monkeypatch):
         assert calls == []  # the sampled path needs no distinct values
 
 
-@pytest.mark.parametrize("kind", [Logistic(), Hinge()])
+@pytest.mark.parametrize("kind", [Logistic()])
 def test_dphi_alone_matches_phi_dphi_byte_for_byte(kind):
     z = np.concatenate([np.linspace(-800.0, 800.0, 20_001), [0.0, -0.0, np.inf, -np.inf, 709.5, -709.5, 1e300, -1e300]])
     want = kind.phi_dphi(z)[1]
@@ -422,7 +398,7 @@ def _train_both_ways(kind, budget, hidden):
     return [train(inst, labels, config, per_epoch=per_epoch) for per_epoch in (True, False)]
 
 
-@pytest.mark.parametrize("kind", [Logistic(), Hinge()])
+@pytest.mark.parametrize("kind", [Logistic()])
 @pytest.mark.parametrize("budget", [250_000, 50])  # every epoch exact, or every epoch sampled
 @pytest.mark.parametrize("hidden", [(), (4,)])
 def test_untraced_training_matches_the_traced_run_bit_for_bit(kind, budget, hidden):

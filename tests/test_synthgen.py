@@ -7,7 +7,6 @@ from rankagg import (
     DegenerateLabel,
     SigmoidSynthConfig,
     gen_conflicting_pair,
-    gen_d3_training_pair,
     gen_gaussian_bilevel,
     gen_sigmoid_pair,
     resample_to_skew,
@@ -52,8 +51,6 @@ def test_shared_draws_reproduce_gen_sigmoid_pair_bit_for_bit():
 def test_tau_zero_gives_coin_flip_probabilities():
     data = gen_sigmoid_pair(SigmoidSynthConfig(n=10, tau=0.0, rho=0.7, seed=1))
     np.testing.assert_array_equal(data.eta.eta, 0.5)
-    d3 = gen_d3_training_pair(10, 1, tau=0.0)
-    np.testing.assert_array_equal(d3.eta.eta, 0.5)
 
 
 def test_rho_zero_balances_label_two():
@@ -62,7 +59,7 @@ def test_rho_zero_balances_label_two():
 
 
 def test_large_tau_concentrates_probabilities():
-    data = gen_d3_training_pair(2000, 3, tau=20.0)
+    data = gen_sigmoid_pair(SigmoidSynthConfig(n=2000, tau=20.0, rho=0.0, seed=3))
     interior = ((data.eta.eta > 0.1) & (data.eta.eta < 0.9)).mean()
     assert interior < 0.2
 
