@@ -31,6 +31,8 @@ them in the order they run):
 - ``train_epoch_untraced_n600``: the same training with ``per_epoch=False``,
   as ``rankagg train`` runs it without ``--trace-out``: no per-epoch loss
   or training AUCs;
+- ``train_epoch_mlp8_n600``: the untraced training with one hidden ReLU
+  layer of 8 units (``hidden=(8,)``, ``--model mlp:8``); seconds per epoch;
 - ``train_epoch_sampled_n100000``: untraced training as above, for
   SAMPLED_EPOCHS epochs on n=1e5 rows of the train CSV's data without the
   reskew; its pairs exceed ``pair_budget``, so every epoch draws a pair
@@ -371,10 +373,11 @@ def _surrogate_cases() -> dict:
         scores = instances.features @ np.array([1.0, 0.5])
         return _timings(lambda: _loss_and_score_grad(scores, groups, Logistic(), True), number=100, repeats=REPEATS)
 
-    def epochs(per_epoch):
+    def epochs(per_epoch, hidden=()):
         instances, labels = data()
+        layered = replace(config, hidden=hidden)
         return _timings(
-            lambda: train(instances, labels, config, per_epoch=per_epoch), number=1, repeats=REPEATS,
+            lambda: train(instances, labels, layered, per_epoch=per_epoch), number=1, repeats=REPEATS,
             units=TRAIN_EPOCHS,
         )
 
@@ -390,6 +393,7 @@ def _surrogate_cases() -> dict:
         f"surrogate_loss_grad_n{TRAIN_N}": loss_grad,
         f"train_epoch_n{TRAIN_N}": functools.partial(epochs, True),
         f"train_epoch_untraced_n{TRAIN_N}": functools.partial(epochs, False),
+        f"train_epoch_mlp8_n{TRAIN_N}": functools.partial(epochs, False, (8,)),
         f"train_epoch_sampled_n{SAMPLED_N}": sampled_epochs,
     }
 

@@ -13,7 +13,6 @@ from .core import (
     InstanceSet,
     JointLabelModel,
     LabelAgg,
-    LinearScorer,
     LossAgg,
     MlpScorer,
     PerLabel,

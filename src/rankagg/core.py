@@ -30,7 +30,6 @@ __all__ = [
     "CostMatrix",
     "Scorer",
     "TableScorer",
-    "LinearScorer",
     "MlpScorer",
     "Sum",
     "Product",
@@ -307,23 +306,8 @@ class TableScorer(Scorer):
 
 
 @dataclass(frozen=True)
-class LinearScorer(Scorer):
-    weights: np.ndarray
-    bias: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen_array(self.weights, ndim=1))
-        object.__setattr__(self, "bias", float(self.bias))
-
-    def scores(self, instances: InstanceSet | None = None) -> np.ndarray:
-        if instances is None:
-            raise ValueError("linear scorers need features")
-        return instances.features @ self.weights + self.bias
-
-
-@dataclass(frozen=True)
 class MlpScorer(Scorer):
-    """Fully connected ReLU network with a scalar output head."""
+    """Fully connected ReLU network with a scalar output head; one layer is a linear scorer."""
 
     weights: tuple  # tuple of (in, out) matrices
     biases: tuple  # tuple of (out,) vectors
@@ -335,18 +319,27 @@ class MlpScorer(Scorer):
             raise ValueError("need matching weight/bias lists")
         if ws[-1].shape[1] != 1:
             raise ValueError("output layer must be scalar")
+        for i, (w, b) in enumerate(zip(ws, bs)):
+            if b.shape != (w.shape[1],) or (i and w.shape[0] != ws[i - 1].shape[1]):
+                raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} do not chain")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
 
-    def scores(self, instances: InstanceSet | None = None) -> np.ndarray:
-        if instances is None:
-            raise ValueError("MLP scorers need features")
-        h = instances.features
+    def layer_outputs(self, features: np.ndarray):
+        """Each layer's output in turn, with ReLU on every layer but the last."""
+        h = features
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w + b
             if i < last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
+            yield h
+
+    def scores(self, instances: InstanceSet | None = None) -> np.ndarray:
+        if instances is None:
+            raise ValueError("MLP scorers need features")
+        for h in self.layer_outputs(instances.features):
+            pass
         return h[:, 0]
 
 

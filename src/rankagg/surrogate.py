@@ -3,7 +3,7 @@
 Every objective family reduces to groups of (positive, negative) index
 pairs with a group coefficient; the loss is the coefficient-weighted mean
 of phi over each group's pair cross product. Gradients flow through the
-per-instance scores into Linear or MLP parameters analytically.
+per-instance scores into the layers of an MlpScorer analytically.
 
 The pair blocks (z, e = exp(-|z|), phi and phi') live in one grow-only
 scratch set that _pair_groups hands out with the groups, so they are reused
@@ -14,18 +14,16 @@ theirs per call. A scratch set belongs to one caller at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     InstanceSet,
     LabelAgg,
-    LinearScorer,
     MlpScorer,
     SampledLabels,
     Scorer,
-    TableScorer,
     aggregate_labels,
 )
 from .errors import DegenerateLabel, NotTrainable
@@ -248,42 +246,22 @@ def _loss_and_score_grad(scores, groups, kind, want_grad, budget=None, rng=None,
 
 def scorer_parameters(scorer: Scorer) -> list[np.ndarray]:
     """Writable copies of the trainable parameter arrays."""
-    if isinstance(scorer, LinearScorer):
-        return [scorer.weights.copy(), np.array([scorer.bias])]
     if isinstance(scorer, MlpScorer):
-        params = []
-        for w, b in zip(scorer.weights, scorer.biases):
-            params.extend([w.copy(), b.copy()])
-        return params
+        return [p.copy() for layer in zip(scorer.weights, scorer.biases) for p in layer]
     raise NotTrainable(f"{type(scorer).__name__} has no trainable parameters")
 
 
-def _rebuild(scorer: Scorer, params: list[np.ndarray]) -> Scorer:
-    if isinstance(scorer, LinearScorer):
-        return LinearScorer(weights=params[0], bias=float(params[1][0]))
-    ws = tuple(params[0::2])
-    bs = tuple(params[1::2])
-    return MlpScorer(weights=ws, biases=bs)
+def _rebuild(scorer: MlpScorer, params: list[np.ndarray]) -> MlpScorer:
+    return MlpScorer(weights=tuple(params[0::2]), biases=tuple(params[1::2]))
 
 
-def _forward(scorer: Scorer, feats: np.ndarray):
+def _forward(scorer: MlpScorer, feats: np.ndarray):
     """Scores plus the activation cache needed for backprop."""
-    if isinstance(scorer, LinearScorer):
-        return feats @ scorer.weights + scorer.bias, None
-    acts = [feats]
-    h = feats
-    last = len(scorer.weights) - 1
-    for i, (w, b) in enumerate(zip(scorer.weights, scorer.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-        acts.append(h)
-    return h[:, 0], acts
+    acts = [feats, *scorer.layer_outputs(feats)]
+    return acts[-1][:, 0], acts
 
 
-def _backward(scorer: Scorer, feats: np.ndarray, grad_scores: np.ndarray, acts) -> list[np.ndarray]:
-    if isinstance(scorer, LinearScorer):
-        return [feats.T @ grad_scores, np.array([grad_scores.sum()])]
+def _backward(scorer: MlpScorer, grad_scores: np.ndarray, acts) -> list[np.ndarray]:
     grads: list[np.ndarray] = []
     delta = grad_scores[:, None]
     last = len(scorer.weights) - 1
@@ -305,12 +283,12 @@ def surrogate_objective(scorer, instances: InstanceSet, labels: SampledLabels, o
 
 def surrogate_gradient(scorer: Scorer, instances: InstanceSet, labels: SampledLabels, objective, kind: Logistic) -> list[np.ndarray]:
     """Exact analytic gradient with respect to the scorer parameters."""
-    if isinstance(scorer, TableScorer) or not isinstance(scorer, (LinearScorer, MlpScorer)):
-        raise NotTrainable("only Linear and MLP scorers are trainable")
+    if not isinstance(scorer, MlpScorer):
+        raise NotTrainable("only MLP scorers are trainable")
     scores, acts = _forward(scorer, instances.features)
     groups = _pair_groups(labels, objective)
     _, grad_scores = _loss_and_score_grad(scores, groups, kind, want_grad=True, want_loss=False)
-    return _backward(scorer, instances.features, grad_scores, acts)
+    return _backward(scorer, grad_scores, acts)
 
 
 @dataclass(frozen=True)
@@ -330,10 +308,10 @@ class TrainConfig:
             raise ValueError("need at least one epoch")
 
 
-def init_scorer(d: int, hidden: tuple, seed: int) -> Scorer:
-    """Zero-initialized linear scorer, or an MLP with uniform +-1/sqrt(fan_in) init."""
+def init_scorer(d: int, hidden: tuple, seed: int) -> MlpScorer:
+    """Zero-initialized linear (one-layer) scorer, or an MLP with uniform +-1/sqrt(fan_in) init."""
     if not hidden:
-        return LinearScorer(weights=np.zeros(d), bias=0.0)
+        return MlpScorer(weights=(np.zeros((d, 1)),), biases=(np.zeros(1),))
     rng = np.random.default_rng([int(seed), 10])
     sizes = [d, *hidden, 1]
     ws, bs = [], []
@@ -349,7 +327,7 @@ def train(
     labels: SampledLabels,
     config: TrainConfig,
     per_epoch: bool = True,
-) -> tuple[Scorer, list[dict]]:
+) -> tuple[MlpScorer, list[dict]]:
     """Full-batch Adam training, one step per epoch, deterministic per seed.
 
     When the pair count exceeds the budget, each step draws a fresh seeded
@@ -372,7 +350,7 @@ def train(
             scores, groups, config.surrogate, want_grad=True, budget=config.pair_budget, rng=rng,
             want_loss=per_epoch or epoch == config.epochs - 1,
         )
-        grads = _backward(scorer, instances.features, grad_scores, acts)
+        grads = _backward(scorer, grad_scores, acts)
         t = epoch + 1
         for idx, g in enumerate(grads):
             m_state[idx] = _ADAM_BETA1 * m_state[idx] + (1 - _ADAM_BETA1) * g

@@ -26,9 +26,9 @@ from rankagg import (
     EtaTable,
     InstanceSet,
     LabelAgg,
-    LinearScorer,
     Logistic,
     LossAgg,
+    MlpScorer,
     PerLabel,
     SampledLabels,
     SigmoidSynthConfig,
@@ -439,7 +439,7 @@ def test_criterion_7_logistic_gradients_match_finite_differences():
         labels = SampledLabels(lab)
         objective = objectives[draw % len(objectives)]
         if draw % 2 == 0:
-            scorer = LinearScorer(weights=rng.standard_normal(d), bias=float(rng.standard_normal()))
+            scorer = MlpScorer(weights=(rng.standard_normal((d, 1)),), biases=(rng.standard_normal(1),))
         else:
             scorer = init_scorer(d, (4,), draw)
         analytic = surrogate_gradient(scorer, inst, labels, objective, Logistic())

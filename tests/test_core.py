@@ -17,6 +17,7 @@ from rankagg import (
     LabelAgg,
     Logistic,
     LossAgg,
+    MlpScorer,
     PerLabel,
     PriorVector,
     SampledLabels,
@@ -413,6 +414,20 @@ def test_table_scorer_rejects_nan_and_serves_values():
     assert scorer.scores()[1] == np.inf
     with pytest.raises(ValueError):
         TableScorer(np.array([np.nan]))
+
+
+@pytest.mark.parametrize(
+    "weights, biases",
+    [
+        ((np.ones((2, 1)),), (np.array([0.0, 5.0]),)),  # two biases on one output
+        ((np.ones((2, 3)), np.ones((3, 1))), (np.zeros(1), np.zeros(1))),  # one bias on three hidden units
+        ((np.ones((2, 3)), np.ones((4, 1))), (np.zeros(3), np.zeros(1))),  # 3 hidden units feed 4 inputs
+    ],
+    ids=["long_bias", "short_bias", "unchained"],
+)
+def test_mlp_scorer_rejects_layer_shapes_that_do_not_chain(weights, biases):
+    with pytest.raises(ValueError, match="do not chain"):
+        MlpScorer(weights, biases)
 
 
 @settings(deadline=None)

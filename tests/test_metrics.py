@@ -12,8 +12,8 @@ from rankagg import (
     DegenerateLabel,
     EtaTable,
     LabelAgg,
-    LinearScorer,
     LossAgg,
+    MlpScorer,
     PerLabel,
     SampledLabels,
     Sum,
@@ -384,7 +384,7 @@ def test_scores_are_a_table_scorer_or_an_array():
     value = loss_agg_auc(values, eta, (1.0, 1.0))
     assert certify_bayes(table, eta, LossAgg((1.0, 1.0))).scorer_value == pytest.approx(value, abs=1e-12)
     # a feature scorer needs instances the metrics never see
-    linear = LinearScorer(np.array([1.0, 0.5]))
+    linear = MlpScorer(weights=(np.array([[1.0], [0.5]]),), biases=(np.zeros(1),))
     with pytest.raises(TypeError):
         auc_report(linear, labels)
     with pytest.raises(TypeError):

@@ -8,9 +8,9 @@ from rankagg import (
     CostMatrix,
     InstanceSet,
     LabelAgg,
-    LinearScorer,
     Logistic,
     LossAgg,
+    MlpScorer,
     NotTrainable,
     PerLabel,
     SampledLabels,
@@ -32,6 +32,11 @@ def _dataset(seed, n=14, d=3):
     labels = rng.integers(0, 2, (n, 2))
     labels[0], labels[1] = (1, 1), (0, 0)  # both classes on both labels
     return InstanceSet(feats), SampledLabels(labels)
+
+
+def _linear(w, b):
+    """The linear scorer x @ w + b as a one-layer MlpScorer."""
+    return MlpScorer(weights=(np.asarray(w, dtype=float)[:, None],), biases=(np.array([b], dtype=float),))
 
 
 _OBJECTIVES = [
@@ -76,7 +81,7 @@ def test_logistic_gradients_match_finite_differences(objective, hidden):
         scorer = init_scorer(inst.d, hidden, seed)
         if not hidden:
             rng = np.random.default_rng(seed + 50)
-            scorer = LinearScorer(weights=rng.standard_normal(inst.d), bias=0.1)
+            scorer = _linear(rng.standard_normal(inst.d), 0.1)
         analytic = surrogate_gradient(scorer, inst, labels, objective, Logistic())
         numeric = _numeric_gradient(scorer, inst, labels, objective, Logistic())
         assert _max_rel_err(analytic, numeric) < 1e-5
@@ -138,7 +143,7 @@ def test_distinct_score_pairs_match_the_dense_pair_block(seed, distinct, discret
     labels[0], labels[1] = (1, 1), (0, 0)
     feats = base[rows]
     weights = np.round(rng.standard_normal(3) * 2.0) if discrete else rng.standard_normal(3)
-    scorer = LinearScorer(weights=scale * weights, bias=0.3)
+    scorer = _linear(scale * weights, 0.3)
     inst, labs = InstanceSet(feats), SampledLabels(labels)
     objective = [PerLabel(0), LossAgg((1.0, 2.5)), LabelAgg(Sum(), CostMatrix.absdiff(3)), LabelAgg(Sum(), CostMatrix.uniform(3))][which]
 
@@ -148,13 +153,40 @@ def test_distinct_score_pairs_match_the_dense_pair_block(seed, distinct, discret
     d = w * _dense_dphi(z)
     grad_scores = d.sum(axis=1) - d.sum(axis=0)
     want_loss = float((w * _dense_phi(z)).sum())
-    want_grads = [feats.T @ grad_scores, np.array([grad_scores.sum()])]
+    want_grads = [feats.T @ grad_scores[:, None], np.array([grad_scores.sum()])]
 
     loss = surrogate_objective(scorer, inst, labs, objective, Logistic())
     grads = surrogate_gradient(scorer, inst, labs, objective, Logistic())
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
     for got, want in zip(grads, want_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(2, 3000),
+    st.integers(1, 5),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(range(len(_OBJECTIVES))),
+)
+def test_a_one_layer_scorer_scores_and_differentiates_as_the_linear_formulas_bit_for_bit(n, d, log_scale, seed, which):
+    # the linear scorer train builds: init_scorer's zero layer, rebuilt from (d, 1) and (1,) parameters
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    feats = scale * rng.standard_normal((n, d))
+    w, b = scale * rng.standard_normal(d), scale * float(rng.standard_normal())
+    labels = rng.integers(0, 2, (n, 2))
+    labels[0], labels[1] = (1, 1), (0, 0)
+    inst, labs, objective = InstanceSet(feats), SampledLabels(labels), _OBJECTIVES[which]
+    scorer = _rebuild(init_scorer(d, (), seed), [w[:, None], np.array([b])])
+
+    assert scorer.scores(inst).tobytes() == (feats @ w + b).tobytes()
+    _, g = _loss_and_score_grad(feats @ w + b, _pair_groups(labs, objective), Logistic(), True, want_loss=False)
+    grads = surrogate_gradient(scorer, inst, labs, objective, Logistic())
+    want = [feats.T @ g[:, None], np.array([g.sum()])]
+    assert [(got.shape, got.tobytes()) for got in grads] == [(x.shape, x.tobytes()) for x in want]
+    assert grads[0][:, 0].tobytes() == (feats.T @ g).tobytes()
 
 
 def test_surrogates_upper_bound_the_misranking_indicator():
@@ -166,7 +198,7 @@ def test_surrogates_upper_bound_the_misranking_indicator():
 def test_loss_agg_with_single_active_weight_reduces_to_per_label():
     inst, labels = _dataset(3)
     rng = np.random.default_rng(4)
-    scorer = LinearScorer(weights=rng.standard_normal(inst.d), bias=0.0)
+    scorer = _linear(rng.standard_normal(inst.d), 0.0)
     # a second weight of epsilon 0 is rejected, so compare via linearity:
     # loss(a1, a2) = a1 * loss(label 1) + a2 * loss(label 2)
     full = surrogate_objective(scorer, inst, labels, LossAgg((2.0, 3.0)), Logistic())
@@ -198,9 +230,7 @@ def test_pair_sampling_budget_path_trains():
     config = TrainConfig(objective=PerLabel(0), epochs=15, lr=0.05, pair_budget=20, seed=1)
     scorer, trace = train(inst, labels, config)
     # trace losses are 20-pair estimates, so compare the exact objective
-    start = surrogate_objective(
-        LinearScorer(weights=np.zeros(inst.d), bias=0.0), inst, labels, PerLabel(0), Logistic()
-    )
+    start = surrogate_objective(_linear(np.zeros(inst.d), 0.0), inst, labels, PerLabel(0), Logistic())
     end = surrogate_objective(scorer, inst, labels, PerLabel(0), Logistic())
     assert end < start
     assert trace[-1]["train"].per_label[0] > 0.5
