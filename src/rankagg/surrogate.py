@@ -251,7 +251,7 @@ def scorer_parameters(scorer: Scorer) -> list[np.ndarray]:
     raise NotTrainable(f"{type(scorer).__name__} has no trainable parameters")
 
 
-def _rebuild(scorer: MlpScorer, params: list[np.ndarray]) -> MlpScorer:
+def _rebuild(params: list[np.ndarray]) -> MlpScorer:
     return MlpScorer(weights=tuple(params[0::2]), biases=tuple(params[1::2]))
 
 
@@ -358,7 +358,7 @@ def train(
             m_hat = m_state[idx] / (1 - _ADAM_BETA1**t)
             v_hat = v_state[idx] / (1 - _ADAM_BETA2**t)
             params[idx] = params[idx] - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        scorer = _rebuild(scorer, params)
+        scorer = _rebuild(params)
         if per_epoch:
             trace.append({"epoch": epoch, "loss": loss, "train": auc_report(scorer.scores(instances), labels)})
     if not per_epoch:

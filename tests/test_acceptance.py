@@ -415,7 +415,7 @@ def _numeric_gradient(scorer, inst, labels, objective, kind, h=1e-6):
             orig = flat[j]
             for sign in (+1.0, -1.0):
                 flat[j] = orig + sign * h
-                value = surrogate_objective(_rebuild(scorer, params), inst, labels, objective, kind)
+                value = surrogate_objective(_rebuild(params), inst, labels, objective, kind)
                 g.reshape(-1)[j] += sign * value / (2 * h)
             flat[j] = orig
         grads.append(g)

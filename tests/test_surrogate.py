@@ -56,7 +56,7 @@ def _numeric_gradient(scorer, inst, labels, objective, kind, h=1e-6):
             orig = flat[j]
             for sign in (+1.0, -1.0):
                 flat[j] = orig + sign * h
-                value = surrogate_objective(_rebuild(scorer, params), inst, labels, objective, kind)
+                value = surrogate_objective(_rebuild(params), inst, labels, objective, kind)
                 g.reshape(-1)[j] += sign * value / (2 * h)
             flat[j] = orig
         grads.append(g)
@@ -171,7 +171,7 @@ def test_distinct_score_pairs_match_the_dense_pair_block(seed, distinct, discret
     st.sampled_from(range(len(_OBJECTIVES))),
 )
 def test_a_one_layer_scorer_scores_and_differentiates_as_the_linear_formulas_bit_for_bit(n, d, log_scale, seed, which):
-    # the linear scorer train builds: init_scorer's zero layer, rebuilt from (d, 1) and (1,) parameters
+    # the linear scorer train builds: init_scorer's one zero layer, rebuilt from its (d, 1) and (1,) parameters
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
     feats = scale * rng.standard_normal((n, d))
@@ -179,7 +179,9 @@ def test_a_one_layer_scorer_scores_and_differentiates_as_the_linear_formulas_bit
     labels = rng.integers(0, 2, (n, 2))
     labels[0], labels[1] = (1, 1), (0, 0)
     inst, labs, objective = InstanceSet(feats), SampledLabels(labels), _OBJECTIVES[which]
-    scorer = _rebuild(init_scorer(d, (), seed), [w[:, None], np.array([b])])
+    zero = scorer_parameters(init_scorer(d, (), seed))
+    assert [(p.shape, p.any()) for p in zero] == [((d, 1), False), ((1,), False)]
+    scorer = _rebuild([w[:, None], np.array([b])])
 
     assert scorer.scores(inst).tobytes() == (feats @ w + b).tobytes()
     _, g = _loss_and_score_grad(feats @ w + b, _pair_groups(labs, objective), Logistic(), True, want_loss=False)
