@@ -9,7 +9,7 @@ ordered row pairs including i = j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,10 +83,4 @@ def measure_gap(eta: EtaTable, weights) -> float:
 def evaluate_bound(eta: EtaTable, weights) -> BoundReport:
     """gap_bound with its measured gap; raises TooLarge before either if n > MAX_EXHAUSTIVE_N."""
     _require_exhaustive(eta.n)
-    report = gap_bound(eta, weights)
-    return BoundReport(
-        K=report.K,
-        argument=report.argument,
-        bound_value=report.bound_value,
-        empirical_gap=measure_gap(eta, weights),
-    )
+    return replace(gap_bound(eta, weights), empirical_gap=measure_gap(eta, weights))

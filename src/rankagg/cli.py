@@ -1,18 +1,17 @@
 """Command-line experiment harness.
 
-Subcommands: skew-sweep, train, oracle, bound. Exit codes: 0 success, 2 flag
-errors (among them a count below 1, an empty comma list, a bound margin c
-outside [0, 0.5] and a learning rate that is negative or not finite), 3 data
-or config errors, 4 enumeration budget errors (oracle --budget counts
-hypothesis classes). Every option but --out, --data, --trace-out, --config,
---no-plot and --plot-out is also a key (snake_case or kebab-case) of an
-optional key=value --config file; flags override config values, which
-override builtin defaults. Sweep points, train trials and bound points run one
-after another. train computes its per-epoch losses and training AUCs only for
---trace-out, which writes them as JSON lines. Each cmd_* returns its CSV
-header, rows and chart (None for train, which draws none); main writes the CSV
-and, unless --no-plot, the SVG. Rows are iterables of str, int and float
-cells, which csv writes as they are.
+Subcommands: skew-sweep, train, oracle, bound. Exit codes: 0 success; 2 a
+bad flag, among them any option value its _OPTIONS parse rejects; 3 the same
+value in a config file, or data the run cannot use; 4 enumeration budget
+errors (oracle --budget counts hypothesis classes). Every option but --out,
+--data, --trace-out, --config, --no-plot and --plot-out is also a key
+(snake_case or kebab-case) of an optional key=value --config file; flags
+override config values, which override builtin defaults. Sweep points, train
+trials and bound points run one after another. train computes its per-epoch
+losses and training AUCs only for --trace-out, which writes them as JSON
+lines. Each cmd_* returns its CSV header, rows and chart (None for train,
+which draws none); main writes the CSV and, unless --no-plot, the SVG. Rows
+are iterables of str, int and float cells, which csv writes as they are.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ _EXIT_BUDGET = 4
 
 
 class _UsageError(Exception):
-    """A flag combination or value the run cannot use; main prints it as is and exits 2."""
+    """A flag combination the run cannot use; main prints it as is and exits 2."""
 
 
 def _float_list(text: str, parse=float) -> list:
@@ -69,67 +68,110 @@ def _float_list(text: str, parse=float) -> list:
     return values
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"expected a count of at least 1, got {value}")
-    return value
+def _checked(parse, ok, expected: str):
+    """parse, then a range check: ValueError saying what was expected unless ok(value)."""
+
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"expected {expected}")
+        return value
+
+    return check
+
+
+def _int_from(low: int):
+    return _checked(int, lambda value: value >= low, f"an integer of at least {low}")
 
 
 def _count_list(text: str) -> list[int]:
-    return _float_list(text, _count)
+    return _float_list(text, _int_from(1))
 
 
-def _learning_rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < np.inf:
-        raise ValueError(f"expected a finite learning rate of at least 0, got {value}")
-    return value
+def _label_names(text: str) -> tuple[str, ...]:
+    names = tuple(name.strip() for name in text.split(","))
+    if not all(name[:1] == "y" and name[1:].isdigit() for name in names):
+        raise ValueError("expected a comma list of label columns y0, y1, ...")
+    return names
 
 
-def _margin(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 0.5:
-        raise ValueError(f"expected a margin c in [0, 0.5], got {value}")
-    return value
+def _label_rate(text: str) -> tuple[int, float]:
+    k_text, _, pi_text = text.partition(":")
+    return int(k_text), float(pi_text)
 
 
-_SEED = (int, 0, "random seed")
+def _parse_objective(text: str, K: int):
+    if text == "label1":
+        return PerLabel(0)
+    if text == "label2":
+        return PerLabel(1)
+    if text.startswith("lossagg:"):
+        weights = _float_list(text.split(":", 1)[1])
+        return LossAgg(tuple(weights))
+    if text == "labelagg:uniform":
+        return LabelAgg(Sum(), CostMatrix.uniform(K + 1))
+    if text == "labelagg:absdiff":
+        return LabelAgg(Sum(), CostMatrix.absdiff(K + 1))
+    raise ValueError(f"unknown objective {text!r}")
+
+
+def _parse_model(text: str) -> tuple:
+    if text == "linear":
+        return ()
+    if text.startswith("mlp:"):
+        return tuple(_count_list(text.split(":", 1)[1]))
+    raise ValueError(f"unknown model {text!r}")
+
+
+def _objective_text(text: str) -> str:
+    _parse_objective(text, 2)  # grammar and lossagg weights; their count needs the data's K
+    return text
+
+
+_SEED = (_int_from(0), 0, "random seed, a non-negative integer")
 
 # subcommand -> option -> (parse, default, help). Each entry is both a
-# --flag and a config key, spelled snake_case or kebab-case.
+# --flag and a config key, spelled snake_case or kebab-case; parse is the
+# only check on the value that needs no data.
 _OPTIONS = {
     "skew-sweep": {
         "seed": _SEED,
-        "tau": (_float_list, (1.0, 5.0), "comma list of sigmoid scales"),
-        "rho": (_float_list, None, "comma list of label-2 shifts"),
+        "tau": (_checked(_float_list, lambda ts: all(0.0 < t < np.inf for t in ts), "finite scales tau > 0"),
+                (1.0, 5.0), "comma list of sigmoid scales"),
+        "rho": (_checked(_float_list, lambda rs: all(-np.inf < r < np.inf for r in rs), "finite shifts rho"),
+                None, "comma list of label-2 shifts"),
         # default (0.5, ..., 0.95) only when --rho is unset too; see cmd_skew_sweep
-        "pi2": (_float_list, None, "comma list of target label-2 positive rates"),
-        "n": (_count, 100_000, "evaluation sample size"),
+        "pi2": (_checked(_float_list, lambda ps: all(0.0 < p < 1.0 for p in ps), "targets 0 < pi2 < 1"),
+                None, "comma list of target label-2 positive rates"),
+        "n": (_int_from(1), 100_000, "evaluation sample size"),
     },
     "train": {
         "seed": _SEED,
-        "labels": (str, "y0,y1", "comma list of label column names (default y0,y1)"),
-        "objective": (str, "labelagg:absdiff", "label1 | label2 | lossagg:a1,a2 | labelagg:uniform | labelagg:absdiff"),
-        "model": (str, "linear", "linear | mlp:h1,h2,..."),
-        "epochs": (_count, 100, None),
-        "lr": (_learning_rate, 0.01, None),
-        "resample_pi": (str, None, "k:pi, reskew label column k to rate pi per trial"),
-        "trials": (_count, 1, None),
-        "pair_budget": (_count, 250_000, None),
+        "labels": (_label_names, ("y0", "y1"), "comma list of label column names (default y0,y1)"),
+        "objective": (_objective_text, "labelagg:absdiff",
+                      "label1 | label2 | lossagg:a1,a2 | labelagg:uniform | labelagg:absdiff"),
+        "model": (_parse_model, (), "linear | mlp:h1,h2,..."),
+        "epochs": (_int_from(1), 100, None),
+        "lr": (_checked(float, lambda lr: 0.0 <= lr < np.inf, "a finite learning rate of at least 0"), 0.01, None),
+        "resample_pi": (_checked(_label_rate, lambda kp: kp[0] >= 0 and 0.0 < kp[1] < 1.0,
+                                 "k:pi with k >= 0 and 0 < pi < 1"),
+                        None, "k:pi, reskew label column k to rate pi per trial"),
+        "trials": (_int_from(1), 1, None),
+        "pair_budget": (_int_from(1), 250_000, None),
     },
     "oracle": {
         "seed": _SEED,
-        "n": (_count, 25, "dataset size"),
-        "P": (int, 3, "top score level for the hypothesis grid"),
-        "weights_grid": (_count, 5, "weights range over {1..max}^2"),
-        "budget": (int, DEFAULT_BUDGET, "max hypothesis classes to enumerate"),
+        "n": (_int_from(2), 25, "dataset size"),
+        "P": (_int_from(2), 3, "top score level for the hypothesis grid"),
+        "weights_grid": (_int_from(1), 5, "weights range over {1..max}^2"),
+        "budget": (_int_from(1), DEFAULT_BUDGET, "max hypothesis classes to enumerate"),
     },
     "bound": {
         "seed": _SEED,
         "K": (_count_list, (2, 4, 8, 16), "comma list of label counts"),
-        "n": (_count, 5, f"instance count (<= {MAX_EXHAUSTIVE_N})"),
-        "c": (_margin, 0.2, "probabilities drawn uniform in [c, 1-c], 0 <= c <= 0.5"),
+        "n": (_int_from(1), 5, f"instance count (<= {MAX_EXHAUSTIVE_N})"),
+        "c": (_checked(float, lambda c: 0.0 <= c <= 0.5, "a margin c in [0, 0.5]"), 0.2,
+              "probabilities drawn uniform in [c, 1-c], 0 <= c <= 0.5"),
     },
 }
 
@@ -210,35 +252,13 @@ def cmd_skew_sweep(args):
         args.pi2 = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
     if args.rho is not None and args.pi2 is not None:
         raise _UsageError("give --rho or --pi2, not both")
-    bad = [("pi2", p) for p in args.pi2 or () if not 0.0 < p < 1.0]
-    bad += [("tau", t) for t in args.tau if not 0.0 < t < np.inf]
-    if bad:
-        need = "the sweep needs a finite tau > 0 and targets 0 < pi2 < 1"
-        # bad config values are data errors, as in _merge; bad flags are flag errors
-        in_config = [f"{key}={value:g}" for key, value in bad if args.sources[key] == "config"]
-        if in_config:
-            raise ValueError(f"{args.config}: {', '.join(in_config)}: {need}")
-        raise _UsageError(f"{', '.join(f'--{key} {value:g}' for key, value in bad)}: {need}")
     rows = []
     for point in sigmoid_sweep(args.n, args.seed, args.tau, args.rho, args.pi2):
         rows += _sweep_point(*point, args.seed)
         # free this point's eta and labels before the generator builds the next
         del point
     rows.sort(key=lambda r: (r[1], r[4], r[5]))
-    header = [
-        "experiment",
-        "tau",
-        "rho",
-        "pi2_target",
-        "pi2_emp",
-        "method",
-        "auc_label1",
-        "auc_label2",
-        "diff_auc",
-        "min_auc",
-        "runtime_ms",
-        "seed",
-    ]
+    header = "experiment,tau,rho,pi2_target,pi2_emp,method,auc_label1,auc_label2,diff_auc,min_auc,runtime_ms,seed".split(",")
     series = {}
     for row in rows:
         series.setdefault(f"{row[5]} tau={row[1]:g}", []).append((row[4], row[8]))
@@ -250,61 +270,32 @@ def cmd_skew_sweep(args):
 # --------------------------------------------------------------------- train
 
 
-def _parse_objective(text: str, K: int):
-    if text == "label1":
-        return PerLabel(0)
-    if text == "label2":
-        return PerLabel(1)
-    if text.startswith("lossagg:"):
-        weights = _float_list(text.split(":", 1)[1])
-        return LossAgg(tuple(weights))
-    if text == "labelagg:uniform":
-        return LabelAgg(Sum(), CostMatrix.uniform(K + 1))
-    if text == "labelagg:absdiff":
-        return LabelAgg(Sum(), CostMatrix.absdiff(K + 1))
-    raise ValueError(f"unknown objective {text!r}")
-
-
-def _parse_model(text: str) -> tuple:
-    if text == "linear":
-        return ()
-    if text.startswith("mlp:"):
-        return tuple(_count_list(text.split(":", 1)[1]))
-    raise ValueError(f"unknown model {text!r}")
-
-
 def cmd_train(args):
     instances, all_labels = dataio.read_dataset(args.data)
-    col_names = [name.strip() for name in args.labels.split(",")]
     available = [f"y{k}" for k in range(all_labels.K)]
     try:
-        cols = [available.index(name) for name in col_names]
+        cols = [available.index(name) for name in args.labels]
     except ValueError:
-        raise ValueError(f"label columns {col_names} not all present in {available}") from None
+        raise ValueError(f"label columns {list(args.labels)} not all present in {available}") from None
     labels = SampledLabels(all_labels.labels[:, cols])
     objective = _parse_objective(args.objective, labels.K)
-    hidden = _parse_model(args.model)
-    resample = None
-    if args.resample_pi:
-        k_text, _, pi_text = args.resample_pi.partition(":")
-        resample = (int(k_text), float(pi_text))
-        if not 0 <= resample[0] < labels.K:
-            raise ValueError(f"--resample-pi label index {resample[0]} is not in 0..{labels.K - 1}")
+    if args.resample_pi is not None and args.resample_pi[0] >= labels.K:
+        raise ValueError(f"--resample-pi label index {args.resample_pi[0]} is not in 0..{labels.K - 1}")
 
     rows, traces, reports = [], [], []
     for trial in range(args.trials):
         start = time.perf_counter()
         trial_seed = args.seed + trial
         inst, labs = instances, labels
-        if resample is not None:
-            inst, labs = resample_to_skew(inst, labs, resample[0], resample[1], trial_seed)
+        if args.resample_pi is not None:
+            inst, labs = resample_to_skew(inst, labs, *args.resample_pi, trial_seed)
         config = TrainConfig(
             objective=objective,
             lr=args.lr,
             epochs=args.epochs,
             pair_budget=args.pair_budget,
             seed=trial_seed,
-            hidden=hidden,
+            hidden=args.model,
         )
         scorer, trace = train(inst, labs, config, per_epoch=args.trace_out is not None)
         traces.append(trace)
@@ -346,17 +337,8 @@ def cmd_train(args):
                 args.seed,
             ]
         )
-    header = [
-        "experiment",
-        "trial",
-        "objective",
-        *[f"auc_label{k + 1}" for k in range(labels.K)],
-        "diff_auc",
-        "min_auc",
-        "final_loss",
-        "runtime_ms",
-        "seed",
-    ]
+    header = ["experiment", "trial", "objective", *[f"auc_label{k + 1}" for k in range(labels.K)],
+              "diff_auc", "min_auc", "final_loss", "runtime_ms", "seed"]
     if args.trace_out is not None:
         _write_train_trace(args.trace_out, traces)
     return header, rows, None
@@ -472,6 +454,18 @@ def cmd_bound(args):
 # ---------------------------------------------------------------- dispatcher
 
 
+def _flag(parse):
+    """parse as an argparse type: argparse prints its ValueError after the flag, with the value."""
+
+    def flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+
+    return flag
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rankagg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -491,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-plot", action="store_true")
         p.add_argument("--plot-out", help="SVG path (default: out path with .svg)")
         for key, (parse, _, option_help) in _OPTIONS[name].items():
-            p.add_argument("--" + key.replace("_", "-"), type=parse, help=option_help)
+            p.add_argument("--" + key.replace("_", "-"), type=_flag(parse), help=option_help)
         p.set_defaults(fn=fn)
     return parser
 

@@ -175,6 +175,8 @@ def _level_rows(probs: np.ndarray, costs: CostMatrix) -> tuple[np.ndarray, np.nd
 def _label_weights(objective, K: int) -> tuple[list[int], np.ndarray]:
     """The labels a PerLabel or LossAgg objective reads, and their checked weights."""
     if isinstance(objective, PerLabel):
+        if not 0 <= objective.k < K:
+            raise ValueError(f"label index {objective.k} is not in 0..{K - 1}")
         return [objective.k], np.ones(1)
     if isinstance(objective, LossAgg):
         return list(range(K)), _positive_weights(objective.weights, K)

@@ -156,16 +156,11 @@ class HypothesisSpace:
     each value, so the grid is scanned by these occupancy classes.
     """
 
-    labels: np.ndarray  # n x 2
     P: int
     idx_11: np.ndarray
     idx_00: np.ndarray
     idx_a: np.ndarray  # rows labeled (1, 0)
     idx_b: np.ndarray  # rows labeled (0, 1)
-
-    @property
-    def n(self) -> int:
-        return self.labels.shape[0]
 
     @property
     def M(self) -> int:
@@ -188,7 +183,6 @@ def build_hypothesis_space(labels: SampledLabels, P: int, budget: int = DEFAULT_
         raise ValueError("need P >= 2")
     lab = labels.labels
     space = HypothesisSpace(
-        labels=lab,
         P=P,
         idx_11=np.flatnonzero((lab[:, 0] == 1) & (lab[:, 1] == 1)),
         idx_00=np.flatnonzero((lab[:, 0] == 0) & (lab[:, 1] == 0)),

@@ -344,8 +344,8 @@ def train(
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     trace: list[dict] = []
+    scores, acts = _forward(scorer, instances.features)
     for epoch in range(config.epochs):
-        scores, acts = _forward(scorer, instances.features)
         loss, grad_scores = _loss_and_score_grad(
             scores, groups, config.surrogate, want_grad=True, budget=config.pair_budget, rng=rng,
             want_loss=per_epoch or epoch == config.epochs - 1,
@@ -359,8 +359,11 @@ def train(
             v_hat = v_state[idx] / (1 - _ADAM_BETA2**t)
             params[idx] = params[idx] - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         scorer = _rebuild(params)
+        # the next step's forward pass also gives this step's training AUCs
+        if per_epoch or epoch + 1 < config.epochs:
+            scores, acts = _forward(scorer, instances.features)
         if per_epoch:
-            trace.append({"epoch": epoch, "loss": loss, "train": auc_report(scorer.scores(instances), labels)})
+            trace.append({"epoch": epoch, "loss": loss, "train": auc_report(scores, labels)})
     if not per_epoch:
         trace.append({"epoch": config.epochs - 1, "loss": loss})
     return scorer, trace

@@ -46,6 +46,9 @@ def test_rho_and_pi2_are_mutually_exclusive(tmp_path):
     assert code == 2
 
 
+_SWEEP_NEEDS = {"tau": "finite scales tau > 0", "pi2": "targets 0 < pi2 < 1"}
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [(["--tau", "0", "--pi2", "0.7"], "--tau 0")]
@@ -60,7 +63,12 @@ def test_unreachable_sweep_targets_exit_2_before_generating(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "sigmoid_sweep", no_data)
     out = tmp_path / "o.csv"
     assert main(["skew-sweep", "--out", str(out), "--n", "2000", "--no-plot", *flags]) == 2
-    assert capsys.readouterr().err.startswith(named + ":")
+    # argparse names the flag and its whole text, then what the option's parse expected
+    flag = named.split(" ")[0]
+    tokens = " ".join(flags).replace("=", " ").split(" ")
+    text = tokens[tokens.index(flag) + 1]
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line == f"rankagg skew-sweep: error: argument {flag}: invalid value {text!r}: expected {_SWEEP_NEEDS[flag[2:]]}"
     assert not out.exists()
 
 
@@ -77,7 +85,10 @@ def test_unreachable_sweep_targets_in_config_exit_3_before_generating(tmp_path, 
     config.write_text(lines + "\n")
     out = tmp_path / "o.csv"
     assert main(["skew-sweep", "--out", str(out), "--n", "2000", "--no-plot", "--config", str(config)]) == 3
-    assert capsys.readouterr().err.startswith(f"error: {config}: {named}: the sweep needs")
+    # _merge names the file and the whole bad line, then what the option's parse expected
+    key = named.split("=")[0]
+    bad = lines.splitlines()[-1]
+    assert capsys.readouterr().err == f"error: {config}: {bad}: expected {_SWEEP_NEEDS[key]}\n"
     assert not out.exists()
 
 
@@ -254,9 +265,11 @@ def test_trace_out_writes_one_line_per_trial_and_epoch_and_leaves_the_csv_alone(
 
 def test_train_objective_parsing_errors_exit_2_or_3(dataset_csv, tmp_path, capsys):
     out = str(tmp_path / "o.csv")
+    # the grammar is checked before the data is read; the weight count needs the data's K
     assert main(
         ["train", "--data", str(dataset_csv), "--out", out, "--objective", "nope"]
-    ) == 3
+    ) == 2
+    assert "argument --objective: invalid value 'nope': unknown objective 'nope'" in capsys.readouterr().err
     assert main(
         ["train", "--data", str(dataset_csv), "--out", out, "--objective", "lossagg:1,2,3"]
     ) == 3
@@ -425,6 +438,11 @@ def test_train_trials_rerun_byte_identical(dataset_csv, tmp_path):
         assert all(row[2] == objective for row in first[1:])
 
 
+# the options whose values "11", "12", ... would not parse, with a non-default value that does
+_VALID_TEXTS = {"pi2": "0.35", "labels": "y1,y0", "objective": "lossagg:1,3", "model": "mlp:4,3",
+                "resample_pi": "1:0.3", "c": "0.35"}
+
+
 @pytest.mark.parametrize("command", sorted(cli._OPTIONS))
 def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, monkeypatch):
     resolved, sources = [], []
@@ -436,10 +454,9 @@ def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, 
 
     monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), record)
     # a distinct value per option catches crossed keys; "11", "12", ... parse under every
-    # option type but bound's margin c, which must lie in [0, 0.5], and differ from every default
+    # numeric option type but the rates and margin, and differ from every default
     values = {key: str(11 + i) for i, key in enumerate(cli._OPTIONS[command])}
-    if command == "bound":
-        values["c"] = "0.35"
+    values.update({key: text for key, text in _VALID_TEXTS.items() if key in values})
     base = [command, "--out", str(tmp_path / "o.csv"), "--no-plot"]
     if command == "train":
         base += ["--data", str(tmp_path / "d.csv")]
@@ -456,20 +473,56 @@ def test_every_option_resolves_the_same_from_flag_and_config(command, tmp_path, 
         assert resolved[0][key] == parse(values[key]) != default
 
 
+# one value per (subcommand, option) that the option's parse rejects before any data exists;
+# an option missing here fails its case below
+_BAD_VALUES = {
+    "skew-sweep": {"seed": "-1", "tau": "0", "rho": "nan", "pi2": "1.5", "n": "0"},
+    "train": {"seed": "-1", "labels": "y0,x1", "objective": "bogus", "model": "cnn", "epochs": "0", "lr": "nan",
+              "resample_pi": "0:1.5", "trials": "0", "pair_budget": "0"},
+    "oracle": {"seed": "-1", "n": "1", "P": "1", "weights_grid": "0", "budget": "0"},
+    "bound": {"seed": "-1", "K": "2,0", "n": "0", "c": "0.6"},
+}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in sorted(cli._OPTIONS) for key in cli._OPTIONS[command]])
+def test_a_bad_option_value_exits_2_as_a_flag_and_3_in_a_config_file(command, key, tmp_path, monkeypatch, capsys):
+    def reached(*args, **kwargs):
+        raise AssertionError("read or generated data")
+
+    monkeypatch.setattr(cli.dataio, "read_dataset", reached)
+    for generator in ("sigmoid_sweep", "gen_gaussian_bilevel", "resample_to_skew"):
+        monkeypatch.setattr(cli, generator, reached)
+    monkeypatch.setattr(cli, "evaluate_bound", reached)  # bound draws its tables inline
+    text = _BAD_VALUES[command][key]
+    out = tmp_path / "o.csv"
+    base = [command, "--out", str(out), "--no-plot"]
+    if command == "train":
+        base += ["--data", str(tmp_path / "d.csv")]
+    flag = "--" + key.replace("_", "-")
+    assert main(base + [f"{flag}={text}"]) == 2
+    assert f"error: argument {flag}: invalid value {text!r}: " in capsys.readouterr().err
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key}={text}\n")
+    assert main(base + ["--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {config}: {key}={text}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flags, code",
     [
         ("train", ["--trials", "0"], 2),
         ("oracle", ["--weights-grid", "0"], 2),
         ("oracle", ["--weights-grid", "-3"], 2),
-        ("train", ["--model", "mlp:0"], 3),
+        ("train", ["--model", "mlp:0"], 2),
         ("train", ["--resample-pi", "5:0.8"], 3),
-        ("train", ["--resample-pi=-1:0.8"], 3),
-        ("train", ["--model", "mlp:"], 3),
+        ("train", ["--resample-pi=-1:0.8"], 2),
+        ("train", ["--model", "mlp:"], 2),
         ("bound", ["--K", ","], 2),
         ("skew-sweep", ["--pi2", ""], 2),
         ("skew-sweep", ["--tau", ""], 2),
         ("skew-sweep", ["--rho", " , "], 2),
+        ("train", ["--labels", "y0", "--objective", "label2"], 3),
     ],
 )
 def test_bad_counts_and_label_indices_exit_with_codes(command, flags, code, dataset_csv, tmp_path):

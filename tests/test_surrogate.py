@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy.special import expit
 
 from rankagg import (
     CostMatrix,
+    EtaTable,
     InstanceSet,
     LabelAgg,
     Logistic,
@@ -18,11 +21,13 @@ from rankagg import (
     TableScorer,
     TrainConfig,
     auc_report,
+    certify_bayes,
     surrogate_gradient,
     surrogate_objective,
     train,
 )
 from rankagg import surrogate
+from rankagg.metrics import _pair_matrix, _weight_rows
 from rankagg.surrogate import _loss_and_score_grad, _pair_groups, _rebuild, init_scorer, scorer_parameters
 
 
@@ -474,3 +479,66 @@ def test_untraced_training_reports_once_and_evaluates_phi_in_its_last_epoch_only
     assert loss_calls == [False] * (epochs - 1) + [True]
     assert log1p_calls and set(log1p_calls) == {epochs - 1}
     assert trace[-1]["loss"] is not None
+
+
+@pytest.mark.parametrize("hidden", [(), (4,)])
+def test_traced_training_reads_each_steps_aucs_off_the_next_forward_pass(hidden, monkeypatch):
+    # one forward pass per step, plus one after the last step for its training AUCs
+    inst, labels = _dataset(16, n=40)
+    epochs = 6
+    config = TrainConfig(objective=LabelAgg(Sum(), CostMatrix.absdiff(3)), epochs=epochs, hidden=hidden)
+    calls = []
+    real = MlpScorer.layer_outputs
+
+    def counting(self, features):
+        calls.append(features)
+        return real(self, features)
+
+    monkeypatch.setattr(MlpScorer, "layer_outputs", counting)
+    _, trace = train(inst, labels, config, per_epoch=True)
+    assert len(calls) == epochs + 1
+    calls.clear()
+    train(inst, labels, config, per_epoch=False)
+    assert len(calls) == epochs
+    monkeypatch.setattr(MlpScorer, "layer_outputs", real)
+    # each row's AUCs are those of the scorer after that step, bit for bit
+    for epoch, row in enumerate(trace):
+        scorer, _ = train(inst, labels, replace(config, epochs=epoch + 1), per_epoch=False)
+        assert row["train"].per_label.tobytes() == auc_report(scorer.scores(inst), labels).per_label.tobytes()
+
+
+def _square_loss_minimizer(eta, objective):
+    """The free scores minimizing sum_ij W_ij (1 - s_i + s_j)^2 over the objective's pair weights W.
+
+    Stationarity is L s = r, with L the Laplacian of W + W^T and r_i = sum_j (W_ij - W_ji).
+    """
+    w = _pair_matrix(_weight_rows(eta, objective))[0]
+    sym = w + w.T
+    s = np.linalg.lstsq(np.diag(sym.sum(axis=1)) - sym, (w - w.T).sum(axis=1), rcond=None)[0]
+    margins = 1.0 - s[:, None] + s[None, :]
+    grad = -2.0 * ((w * margins).sum(axis=1) - (w * margins).sum(axis=0))
+    assert np.abs(grad).max() < 1e-9 * max(1.0, np.abs(w).sum())
+    return s
+
+
+def _eta_table(seed):
+    return EtaTable(np.random.default_rng(seed).uniform(0.05, 0.95, (8, 2)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_square_surrogate_targets_the_single_label_bayes_scorer(seed):
+    eta = _eta_table(seed)
+    assert certify_bayes(_square_loss_minimizer(eta, PerLabel(0)), eta, PerLabel(0)).optimal
+
+
+# pinned tables on which the pairwise square loss's minimizer misses the objective's
+# optimum: the pairwise surrogates target neither aggregated objective's Bayes scorer
+@pytest.mark.parametrize(
+    "seed, objective",
+    [(4, LossAgg((1.0, 1.0))), (20, LabelAgg(Sum(), CostMatrix.absdiff(3)))],
+    ids=["loss_agg", "label_agg"],
+)
+def test_the_square_surrogate_misses_the_aggregated_optimum(seed, objective):
+    eta = _eta_table(seed)
+    result = certify_bayes(_square_loss_minimizer(eta, objective), eta, objective)
+    assert not result.optimal and result.gap > 1e-6
