@@ -49,8 +49,8 @@ from .metrics import (
 )
 from .bayes import (
     alpha_vector,
+    bayes_scorer,
     label_agg_bayes_scorer_sum,
-    label_agg_bayes_scorer_weighted,
     label_agg_uniform_cost_scorer_k2,
     loss_agg_bayes_scorer,
     multipartite_bayes_scorer,

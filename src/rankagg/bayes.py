@@ -1,4 +1,4 @@
-"""Closed-form optimal scorers.
+"""Closed-form optimal scorers, and bayes_scorer, which picks the one that solves an objective.
 
 Ratio-form scorers use a +inf sentinel when the denominator vanishes;
 the metrics module ranks +inf above every finite score and ties +inf
@@ -13,21 +13,25 @@ from .core import (
     CostMatrix,
     EtaTable,
     JointLabelModel,
+    LabelAgg,
+    PerLabel,
     PriorVector,
     Product,
     SampledLabels,
+    Sum,
     TableScorer,
     _frozen,
     _positive_weights,
     aggregate_distribution,
 )
 from .errors import InvalidCosts
+from .metrics import _label_weights
 
 __all__ = [
     "alpha_vector",
+    "bayes_scorer",
     "loss_agg_bayes_scorer",
     "label_agg_bayes_scorer_sum",
-    "label_agg_bayes_scorer_weighted",
     "label_agg_uniform_cost_scorer_k2",
     "multipartite_bayes_scorer",
     "scale_condition_holds",
@@ -62,11 +66,9 @@ def loss_agg_bayes_scorer(eta: EtaTable, priors=None, weights=None) -> TableScor
     score_i = (1/K) sum_k a_k / (pi_k (1 - pi_k)) * eta_{ik}.
     Priors default to the column means of eta; weights default to 1.
     """
-    if priors is None:
-        priors = PriorVector.from_eta(eta)
     if weights is None:
         weights = np.ones(eta.K)
-    alpha = alpha_vector(priors, weights)
+    alpha = alpha_vector(eta if priors is None else priors, weights)  # an EtaTable's priors are its column means
     scores = eta.eta @ alpha
     scores /= eta.K
     return TableScorer(_frozen(scores))
@@ -83,11 +85,6 @@ def label_agg_bayes_scorer_sum(eta: EtaTable) -> TableScorer:
     for column in columns[1:]:
         scores += column
     return TableScorer(_frozen(scores))
-
-
-def label_agg_bayes_scorer_weighted(eta: EtaTable, alphas) -> TableScorer:
-    """Weighted-sum variant: score_i = sum_k alpha_k * eta_{ik}."""
-    return TableScorer(eta.eta @ _positive_weights(alphas, eta.K))
 
 
 def label_agg_uniform_cost_scorer_k2(eta: EtaTable) -> TableScorer:
@@ -163,3 +160,27 @@ def product_agg_bayes_scorer(model: EtaTable | JointLabelModel) -> TableScorer:
     """Optimal scorer for the product-aggregated (AND) label: P(every label is 1)."""
     return TableScorer(aggregate_distribution(model, Product()).probs[:, 1])
 
+
+def bayes_scorer(model: EtaTable | JointLabelModel, objective) -> TableScorer:
+    """The closed-form optimal scorer of a PerLabel, LossAgg or LabelAgg objective.
+
+    PerLabel and LossAgg read the marginals, with their column means as priors;
+    LabelAgg reads the aggregate law, the joint's for a JointLabelModel. Sum under
+    absdiff costs scores the marginals' sum, increasing in E[sum Y] for any joint
+    law. Raises InvalidCosts where multipartite_bayes_scorer has no closed form.
+    """
+    if not isinstance(model, (EtaTable, JointLabelModel)):
+        raise TypeError(f"unsupported label model {model!r}")
+    eta = model.marginal_eta() if isinstance(model, JointLabelModel) else model
+    if not isinstance(objective, LabelAgg):
+        _, weights = _label_weights(objective, model.K)  # checks the label index or the weights
+        if isinstance(objective, PerLabel):
+            return TableScorer(eta.eta[:, objective.k])
+        return loss_agg_bayes_scorer(eta, weights=weights)
+    if isinstance(objective.aggregator, Product):
+        return product_agg_bayes_scorer(model)
+    levels = model.K + 1  # Sum's alphabet; only the costs below the diagonal are read
+    lower = np.tril(objective.costs.costs[:levels, :levels], -1)
+    if isinstance(objective.aggregator, Sum) and np.array_equal(lower, np.tril(CostMatrix.absdiff(levels).costs, -1)):
+        return label_agg_bayes_scorer_sum(eta)
+    return multipartite_bayes_scorer(aggregate_distribution(model, objective.aggregator).probs, objective.costs)

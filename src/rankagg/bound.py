@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bayes import label_agg_bayes_scorer_weighted
 from .core import (
     CostMatrix,
     EtaTable,
@@ -68,7 +67,7 @@ def gap_bound(eta: EtaTable, weights) -> BoundReport:
 
 
 def measure_gap(eta: EtaTable, weights) -> float:
-    """Exact optimality gap of the weighted-probability scorer.
+    """Exact optimality gap of the weighted-probability scorer eta @ a.
 
     Objective: uniform-cost multipartite AUC of the weighted-sum aggregate,
     labels conditionally independent; the maximizer comes from the exact
@@ -77,7 +76,7 @@ def measure_gap(eta: EtaTable, weights) -> float:
     _moment_sums(eta, weights)  # same premise check as the bound
     agg = WeightedSum(weights)
     objective = LabelAgg(agg, CostMatrix.uniform(agg.values().shape[0]))
-    return float(certify_bayes(label_agg_bayes_scorer_weighted(eta, weights), eta, objective).gap)
+    return float(certify_bayes(eta.eta @ np.array(agg.alphas), eta, objective).gap)
 
 
 def evaluate_bound(eta: EtaTable, weights) -> BoundReport:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, svgplot
-from .bayes import label_agg_bayes_scorer_sum, loss_agg_bayes_scorer
+from .bayes import bayes_scorer
 from .core import (
     CostMatrix,
     EtaTable,
@@ -223,10 +223,10 @@ def _merge(args: argparse.Namespace, options: dict) -> argparse.Namespace:
 def _sweep_point(tau, rho, pi2_target, eta, labels, seed):
     pi2_emp = float(labels.labels[:, 1].mean())
     rows = []
-    for method, build_scorer in (("labelagg", label_agg_bayes_scorer_sum), ("lossagg", loss_agg_bayes_scorer)):
+    for method, objective in (("labelagg", LabelAgg(Sum(), CostMatrix.absdiff(3))), ("lossagg", LossAgg((1.0, 1.0)))):
         # runtime_ms covers this method's scorer and AUC report only
         start = time.perf_counter()
-        report = auc_report(build_scorer(eta).scores(), labels)
+        report = auc_report(bayes_scorer(eta, objective).scores(), labels)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             [

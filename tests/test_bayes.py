@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
@@ -10,12 +12,20 @@ from rankagg import (
     DegenerateLabel,
     EtaTable,
     InvalidCosts,
+    JointLabelModel,
+    LabelAgg,
+    LossAgg,
+    PerLabel,
     PriorVector,
+    Product,
+    SampledLabels,
     Sum,
+    WeightedSum,
     aggregate_distribution,
     alpha_vector,
+    bayes_scorer,
+    certify_bayes,
     label_agg_bayes_scorer_sum,
-    label_agg_bayes_scorer_weighted,
     label_agg_uniform_cost_scorer_k2,
     loss_agg_bayes_scorer,
     multipartite_bayes_scorer,
@@ -205,16 +215,6 @@ def test_product_scorer_is_all_ones_probability():
     assert vals == pytest.approx([0.4, 1.0])
 
 
-def test_label_agg_weighted_scorer_validation():
-    eta = EtaTable(np.full((2, 2), 0.5))
-    with pytest.raises(ValueError):
-        label_agg_bayes_scorer_weighted(eta, [1.0])
-    with pytest.raises(ValueError):
-        label_agg_bayes_scorer_weighted(eta, [1.0, 0.0])
-    vals = label_agg_bayes_scorer_weighted(eta, [2.0, 4.0]).scores()
-    assert vals == pytest.approx([3.0, 3.0])
-
-
 @pytest.mark.parametrize("K", range(1, 21))
 def test_sum_scorer_adds_the_columns_in_order(K):
     eta = EtaTable(np.random.default_rng(K).uniform(0.0, 1.0, (1000, K)))
@@ -232,3 +232,110 @@ def test_fortran_and_c_ordered_eta_give_the_same_bits():
     assert PriorVector.from_eta(f_order).pi.tobytes() == PriorVector.from_eta(c_order).pi.tobytes()
     assert alpha_vector(f_order, [1.0, 2.0]).tobytes() == alpha_vector(c_order, [1.0, 2.0]).tobytes()
     assert loss_agg_bayes_scorer(f_order).scores().tobytes() == loss_agg_bayes_scorer(c_order).scores().tobytes()
+
+
+@st.composite
+def _model_objective_pairs(draw):
+    """A label model and an objective on it: Hypothesis picks the shapes and kinds, a seed the numbers.
+
+    Models: EtaTables with eta uniform in [0.05, 0.95] or on a grid that
+    ties rows, and joint laws with Dirichlet(1) rows. Objectives: PerLabel,
+    LossAgg with random positive weights, or LabelAgg over Sum, Product or a
+    real or integer WeightedSum with uniform, absdiff or scale-condition costs.
+    """
+    n, K = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    model_kind = draw(st.sampled_from(["uniform", "grid", "joint"]))
+    kind = draw(st.sampled_from(["per_label", "loss_agg", "sum", "product", "real", "integer"]))
+    costs = draw(st.sampled_from(["uniform", "absdiff", "scale"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if model_kind == "joint":
+        model = JointLabelModel(rng.dirichlet(np.ones(2**K), n))
+    elif model_kind == "uniform":
+        model = EtaTable(rng.uniform(0.05, 0.95, (n, K)))
+    else:
+        model = EtaTable(rng.choice([0.2, 0.5, 0.8], (n, K)))
+    if kind == "per_label":
+        return model, PerLabel(int(rng.integers(K)))
+    if kind == "loss_agg":
+        return model, LossAgg(tuple(rng.uniform(0.1, 10.0, K)))
+    aggregator = {
+        "sum": Sum(),
+        "product": Product(),
+        "real": WeightedSum(tuple(rng.uniform(0.1, 10.0, K))),
+        "integer": WeightedSum(tuple(rng.integers(1, 4, K).astype(float))),
+    }[kind]
+    levels = aggregate_distribution(model, aggregator).values.shape[0]
+    if costs == "scale":
+        # c[y, y'] = w_y w_y' (s_y - s_y') with w > 0 and s increasing
+        w, s = rng.uniform(0.5, 2.0, levels), np.cumsum(rng.uniform(0.25, 2.0, levels))
+        return model, LabelAgg(aggregator, CostMatrix(np.tril(np.outer(w, w) * (s[:, None] - s[None, :]), -1)))
+    return model, LabelAgg(aggregator, getattr(CostMatrix, costs)(levels))
+
+
+# Sum objectives on which the sum of the marginals leaves a gap, and the
+# one on which it is the Bayes scorer of a joint law
+_JOINT5 = JointLabelModel(np.random.default_rng(0).dirichlet(np.ones(4), 5))
+_SCALE3 = CostMatrix([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.98, 0.56, 0.0]])  # w = (1, 2, 0.7), s = (0.3, 1.3, 1.7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_model_objective_pairs())
+@example((EtaTable(np.random.default_rng(10).uniform(0.05, 0.95, (7, 2))), LabelAgg(Sum(), CostMatrix.uniform(3))))
+@example((EtaTable(np.random.default_rng(0).uniform(0.05, 0.95, (6, 2))), LabelAgg(Sum(), _SCALE3)))
+@example((_JOINT5, LabelAgg(Sum(), CostMatrix.uniform(3))))
+@example((_JOINT5, LabelAgg(Sum(), CostMatrix.absdiff(3))))
+def test_bayes_scorer_certifies_or_has_no_closed_form(case):
+    model, objective = case
+    try:
+        scorer = bayes_scorer(model, objective)
+    except InvalidCosts:
+        # the one objective without a closed form: more than 3 aggregate levels, costs off the scale condition
+        levels = aggregate_distribution(model, objective.aggregator).values.shape[0]
+        assert levels > 3 and not scale_condition_holds(CostMatrix(objective.costs.costs[:levels, :levels]))
+        return
+    result = certify_bayes(scorer, model, objective)
+    assert result.optimal, result.gap
+
+
+def test_bayes_scorer_rejects_what_it_has_no_scorer_for():
+    eta = EtaTable(np.full((3, 2), 0.5))
+    with pytest.raises(TypeError, match="label model"):
+        bayes_scorer(SampledLabels(np.eye(2, dtype=int)), PerLabel(0))
+    with pytest.raises(TypeError, match="objective"):
+        bayes_scorer(eta, "sum")
+    with pytest.raises(ValueError, match="label index"):
+        bayes_scorer(eta, PerLabel(2))
+    with pytest.raises(ValueError, match="3 weights for 2 labels"):
+        bayes_scorer(eta, LossAgg((1.0, 1.0, 1.0)))
+    # absdiff over 2 levels does not cover Sum's 3: no sum scorer, and the closed form needs every level's costs
+    with pytest.raises(ValueError, match="smaller than the alphabet"):
+        bayes_scorer(eta, LabelAgg(Sum(), CostMatrix.absdiff(2)))
+
+# every combo of three deterministic labels, label 0 the high bit
+_COMBOS3 = ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1).astype(float)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(0, 7), max_size=4),
+    st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=3, max_size=3),
+)
+@example([], [2.0, 1.0, 1.0])  # equal priors: alpha_0 = alpha_1 + alpha_2 exactly
+def test_a_label_dictates_loss_aggregation_exactly_when_its_alpha_passes_the_others(duplicates, weights):
+    # duplicated combos move the priors; alpha_k = a_k / (pi_k (1 - pi_k)) is computed exactly
+    eta = EtaTable(np.concatenate([_COMBOS3, _COMBOS3[duplicates]]))
+    n = eta.n
+    positives = [int(c) for c in eta.eta.sum(axis=0)]
+    alpha = [Fraction(a) * n * n / (c * (n - c)) for a, c in zip(weights, positives)]
+    objective = LossAgg(tuple(weights))
+    scores = bayes_scorer(eta, objective).scores()
+    for k in range(3):
+        others = sum(alpha) - alpha[k]
+        if alpha[k] == others:
+            # label k alone against every other label: the boundary combos tie
+            alone = 1 << (2 - k)
+            assert scores[alone] == pytest.approx(scores[7 - alone], rel=0.0, abs=1e-12)
+        else:
+            on = eta.eta[:, k] == 1
+            assert (scores[on].min() > scores[~on].max()) == (alpha[k] > others)
+    assert certify_bayes(scores, eta, objective).optimal

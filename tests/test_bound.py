@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from rankagg import DegenerateVariance, EtaTable, evaluate_bound, gap_bound, measure_gap
+from rankagg import (
+    CostMatrix,
+    DegenerateVariance,
+    EtaTable,
+    LabelAgg,
+    Sum,
+    certify_bayes,
+    evaluate_bound,
+    gap_bound,
+    measure_gap,
+)
 from rankagg.bound import psi
 
 
@@ -80,3 +90,15 @@ def test_single_label_scorer_is_optimal():
 def test_identical_rows_tie_every_scorer():
     eta = EtaTable(np.tile([[0.3, 0.7]], (4, 1)))
     assert measure_gap(eta, np.ones(2)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_measured_gap_is_the_uniform_cost_gap_of_the_probability_sum():
+    # bound's K = 2 table at seed 1 (n = 8, eta uniform in [0.05, 0.95]):
+    # the sum of the probabilities misses the uniform-cost optimum, while
+    # under absdiff costs it is the Bayes scorer and its gap is 0
+    eta = EtaTable(np.random.default_rng([1, 2]).uniform(0.05, 0.95, (8, 2)))
+    scores = eta.eta[:, 0] + eta.eta[:, 1]
+    uniform = certify_bayes(scores, eta, LabelAgg(Sum(), CostMatrix.uniform(3))).gap
+    assert uniform > 1e-6
+    assert evaluate_bound(eta, np.ones(2)).empirical_gap == pytest.approx(uniform, rel=0.0, abs=1e-12)
+    assert certify_bayes(scores, eta, LabelAgg(Sum(), CostMatrix.absdiff(3))).gap == pytest.approx(0.0, abs=1e-12)

@@ -119,21 +119,18 @@ def test_skew_sweep_reruns_byte_identical(tmp_path):
 
 
 def test_skew_sweep_looks_its_scorers_up_at_each_point(tmp_path, monkeypatch):
-    # each point reads the scorers from the module, so a wrapper put there
+    # each point reads bayes_scorer from the module, so a wrapper put there
     # (a test's counter, or a tracer's span) sees every call
-    calls = {"labelagg": 0, "lossagg": 0}
+    calls = {"LabelAgg": 0, "LossAgg": 0}
+    build = cli.bayes_scorer
 
-    def counting(method, build_scorer):
-        def wrapper(eta):
-            calls[method] += 1
-            return build_scorer(eta)
+    def counting(eta, objective):
+        calls[type(objective).__name__] += 1
+        return build(eta, objective)
 
-        return wrapper
-
-    monkeypatch.setattr(cli, "label_agg_bayes_scorer_sum", counting("labelagg", cli.label_agg_bayes_scorer_sum))
-    monkeypatch.setattr(cli, "loss_agg_bayes_scorer", counting("lossagg", cli.loss_agg_bayes_scorer))
+    monkeypatch.setattr(cli, "bayes_scorer", counting)
     assert main(["skew-sweep", "--out", str(tmp_path / "s.csv"), "--n", "2000", "--pi2", "0.5,0.9", "--no-plot"]) == 0
-    assert calls == {"labelagg": 4, "lossagg": 4}  # 2 default taus x 2 targets
+    assert calls == {"LabelAgg": 4, "LossAgg": 4}  # 2 default taus x 2 targets
 
 
 def test_skew_sweep_holds_one_point_at_a_time(tmp_path):

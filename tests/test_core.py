@@ -30,11 +30,12 @@ from rankagg import (
     aggregate_labels,
     alpha_vector,
     auc_report,
+    bayes_scorer,
     certify_bayes,
     gap_bound,
     label_agg_auc,
-    label_agg_bayes_scorer_weighted,
     loss_agg_auc,
+    measure_gap,
     optimal_weak_order_for,
     product_agg_bayes_scorer,
     surrogate_objective,
@@ -144,6 +145,13 @@ _CONTRACT_ETA = EtaTable(np.random.default_rng(19).uniform(0.1, 0.9, (6, 3)))
 _CONTRACT_SCORES = np.random.default_rng(20).standard_normal(6)
 _CONTRACT_LOSS = LossAgg((1.0, 2.0, 0.5))
 _CONTRACT_LABEL = LabelAgg(Sum(), CostMatrix.absdiff(4))
+_CONTRACT_OBJECTIVES = (
+    PerLabel(2),
+    _CONTRACT_LOSS,
+    _CONTRACT_LABEL,
+    LabelAgg(Product(), CostMatrix.uniform(2)),
+    LabelAgg(WeightedSum((1.0, 2.0, 0.5)), CostMatrix.absdiff(8)),
+)
 
 
 def _flat(*parts) -> np.ndarray:
@@ -181,6 +189,7 @@ _ENTRY_POINTS = {
     "certify_bayes": _certify,
     "optimal_weak_order_for": _weak_order,
     "product_agg_bayes_scorer": lambda m: _flat(product_agg_bayes_scorer(m).scores()),
+    "bayes_scorer": lambda m: _flat(*(bayes_scorer(m, objective).scores() for objective in _CONTRACT_OBJECTIVES)),
 }
 
 
@@ -298,8 +307,8 @@ _WEIGHT_ENTRY_POINTS = {
     "LossAgg": (LossAgg, False),
     "WeightedSum": (WeightedSum, False),
     "alpha_vector": (lambda a: alpha_vector(_ETA2, a), True),
-    "label_agg_bayes_scorer_weighted": (lambda a: label_agg_bayes_scorer_weighted(_ETA2, a), True),
     "gap_bound": (lambda a: gap_bound(_ETA2, a), True),
+    "measure_gap": (lambda a: measure_gap(_ETA2, a), True),
     "loss_agg_auc": (lambda a: loss_agg_auc(np.array([0.3, 0.1, 0.2]), _ETA2, a), True),
 }
 

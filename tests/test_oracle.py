@@ -23,8 +23,6 @@ from rankagg import (
     certify_bayes,
     evaluate_bound,
     gap_bound,
-    label_agg_bayes_scorer_sum,
-    loss_agg_bayes_scorer,
     maximizer_sets,
     measure_gap,
     optimal_weak_order,
@@ -127,20 +125,6 @@ def test_optimal_weak_order_beats_random_orders():
     for _ in range(1000):
         scores = rng.integers(0, 6, 6).astype(float)
         assert (w * h_matrix(scores)).sum() <= best + 1e-12
-
-
-def test_certify_accepts_closed_form_scorers():
-    rng = np.random.default_rng(1)
-    for trial in range(10):
-        eta = EtaTable(rng.uniform(0.05, 0.95, (6, 2)))
-        loss = certify_bayes(loss_agg_bayes_scorer(eta), eta, LossAgg((1.0, 1.0)))
-        assert loss.optimal, loss.gap
-        agg = certify_bayes(
-            label_agg_bayes_scorer_sum(eta),
-            eta,
-            LabelAgg(Sum(), CostMatrix.absdiff(3)),
-        )
-        assert agg.optimal, agg.gap
 
 
 def test_certify_flags_a_bad_scorer():

@@ -22,6 +22,7 @@ from rankagg import (
     TrainConfig,
     auc_report,
     certify_bayes,
+    gen_conflicting_pair,
     surrogate_gradient,
     surrogate_objective,
     train,
@@ -230,6 +231,37 @@ def test_training_is_deterministic_per_seed():
     s2, t2 = train(inst, labels, config)
     np.testing.assert_array_equal(s1.weights, s2.weights)
     assert [r["loss"] for r in t1] == [r["loss"] for r in t2]
+
+
+def _adam_reference(inst, labels, objective, lr, steps):
+    """Adam (Kingma and Ba, 2015) from the zero linear scorer, one full-pair gradient per step."""
+    params = [np.zeros((inst.d, 1)), np.zeros(1)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t in range(1, steps + 1):
+        scorer = MlpScorer(weights=(params[0],), biases=(params[1],))
+        for i, g in enumerate(surrogate_gradient(scorer, inst, labels, objective, Logistic())):
+            m[i] = 0.9 * m[i] + 0.1 * g
+            v[i] = 0.999 * v[i] + 0.001 * g * g
+            params[i] = params[i] - lr * (m[i] / (1 - 0.9**t)) / (np.sqrt(v[i] / (1 - 0.999**t)) + 1e-8)
+    return params
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_untraced_training_steps_are_bias_corrected_adam(steps):
+    data = gen_conflicting_pair(40, 3)
+    objective, lr = LossAgg((1.0, 1.0)), 0.05
+    config = TrainConfig(objective=objective, lr=lr, epochs=steps)
+    scorer, _ = train(data.instances, data.labels, config, per_epoch=False)
+    want = _adam_reference(data.instances, data.labels, objective, lr, steps)
+    got = [scorer.weights[0], scorer.biases[0]]
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
+    if steps == 1:
+        # the bias-corrected moments of one step are g and g^2: each parameter moves by -lr * g / (|g| + eps)
+        zero = MlpScorer(weights=(np.zeros((2, 1)),), biases=(np.zeros(1),))
+        for g, w in zip(surrogate_gradient(zero, data.instances, data.labels, objective, Logistic()), got):
+            np.testing.assert_allclose(w, -lr * g / (np.abs(g) + 1e-8), rtol=0.0, atol=1e-12)
 
 
 def test_pair_sampling_budget_path_trains():
